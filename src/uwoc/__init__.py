@@ -11,7 +11,6 @@ from .errors import (
     DegenerateComponentError,
     FitFailureError,
     HistogramError,
-    MStepError,
     UndefinedScoreError,
     UwocError,
 )

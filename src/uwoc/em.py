@@ -3,8 +3,9 @@
 Alternates posterior responsibilities for the hidden component labels with
 weighted maximum-likelihood updates of the component parameters.  The
 Generalized Gamma M-step is derived directly from the expected complete-data
-log-likelihood: with theta = b^c, the stationarity conditions eliminate the
-shape a and scale theta, leaving a single root-solve in the power shape c.
+log-likelihood: with theta = b^c, the inner Gamma ML eliminates the shape a
+and scale theta, and a warm-started Newton ascent of the resulting profile
+likelihood in ln c finds the power shape.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from .distributions import (
     MixtureModel,
     WEIGHT_EPS,
 )
-from .errors import DataError, DegenerateComponentError, FitFailureError, MStepError
+from .errors import DataError, DegenerateComponentError, FitFailureError
 
 __all__ = [
     "EmConfig",
@@ -38,14 +39,27 @@ __all__ = [
     "fit",
 ]
 
-# per-step slack on the ascent property, absorbing root-solve noise
+# per-step slack on the ascent property, absorbing rounding in the M-steps
 ASCENT_SLACK = 1e-9
 
 # responsibility mass below this (relative to n) freezes a component
 _MASS_EPS = 1e-10
 
-_C_BRACKET = (1e-2, 1e3)
-_C_LIMITS = (1e-3, 2e4)
+# admissible power shapes c, as ln c
+_LOG_C_LIMITS = (math.log(1e-3), math.log(2e4))
+# grid points of the cold-start scan in ln c
+_SCAN_POINTS = 33
+# Newton ascent in ln c: longest step, step short enough to take untested,
+# convergence in ln c, iteration cap
+_MAX_LOG_STEP = 1.0
+_TRUSTED_STEP = 1e-4
+_LOG_C_TOL = 1e-10
+_NEWTON_ITERS = 100
+# the slope c Q'(c) / W counts as zero below _DQ_TOL * (1 + a): rounding in
+# the spread ln(S_c / W) - c lbar ~ 1 / (2a) reaches the slope amplified ~2a
+_DQ_TOL = 1e-13
+# largest |ln b| that m_step_gg returns
+_LOG_B_MAX = 700.0
 
 
 @dataclass(frozen=True)
@@ -175,124 +189,137 @@ def m_step_exp(samples, responsibilities, literal=False):
     return float(np.dot(resp, arr) / denom)
 
 
-def _gg_weighted_stats(log_i, weights, c):
-    """(T_c/S_c, log S_c) for S_c = sum w I^c and T_c = sum w I^c ln I."""
-    with np.errstate(divide="ignore"):
-        t = c * log_i + np.log(weights)
-    m = t.max()
-    if not np.isfinite(m):
-        raise DegenerateComponentError("second component has no responsibility mass")
-    e = np.exp(t - m)
-    s = e.sum()
-    return float(np.dot(e, log_i) / s), float(m + math.log(s))
-
-
-def _gg_profile(log_i, weights, w_total, lbar, c):
-    """Joint-stationarity (a, log_theta, h) at a given power shape c."""
-    ratio, log_s = _gg_weighted_stats(log_i, weights, c)
-    spread = ratio - lbar
-    if spread <= 0.0:
-        raise DegenerateComponentError("samples are degenerate for the GG component")
-    a = 1.0 / (c * spread)
-    log_theta = log_s - math.log(a) - math.log(w_total)
-    h = sp.digamma(a) + log_theta - c * lbar
-    return a, log_theta, h
-
-
 def m_step_gg(samples, responsibilities, c_hint=None):
     """Weighted Generalized Gamma ML update, returned as (a, b, c).
 
-    Maximizes sum_i (1 - gamma_i) ln g(I_i; a, b, c).  The stationarity
-    conditions give a and theta = b^c in terms of c, reducing the M-step to
-    the root of a scalar function of c, bracketed around ``c_hint`` (or a
-    default window) and expanded geometrically on failure.
+    Maximizes Q = sum_i w_i ln g(I_i; a, b, c) with w_i = 1 - gamma_i.  For a
+    fixed power shape c the values I^c are Gamma(a, theta = b^c), so the
+    weighted Gamma ML gives a(c) and theta(c), and the profile Q(c) with its
+    first two derivatives follows from S_c = sum w I^c, T_c = sum w I^c ln I
+    and U_c = sum w I^c ln^2 I: one pass over the data per c.  A safeguarded
+    Newton ascent in ln c starts at ``c_hint``; without a hint, or when no
+    step from it ascends, it starts from the best point of a coarse ln c scan
+    over the admissible range instead.  Where the maximum lies at a c whose
+    scale b would over- or underflow, the best point evaluated with a finite
+    b is returned.
     """
     arr = validate_samples(samples)
     weights = 1.0 - np.asarray(responsibilities, dtype=float)
     w_total = float(weights.sum())
     if w_total <= _MASS_EPS * arr.size:
         raise DegenerateComponentError("second component has no responsibility mass")
-    log_i = np.log(arr)
-    lbar = float(np.dot(weights, log_i) / w_total)
+    # centred on lbar, the sums give R_c - lbar and ln(S_c/W) - c lbar directly;
+    # arrays are updated in place, as fresh 100k-sample buffers cost page faults
+    x = np.log(arr)
+    lbar = float(np.dot(weights, x) / w_total)
+    x -= lbar
+    x2 = x * x
+    with np.errstate(divide="ignore"):
+        log_w = np.log(weights, out=weights)
+    log_w_total = math.log(w_total)
+    work = np.empty_like(x)
+    visited = []
 
-    def h(c):
-        return _gg_profile(log_i, weights, w_total, lbar, c)[2]
+    def point(u):
+        """Profile Q/W at c = e^u with its first two derivatives in u, or None."""
+        c = math.exp(u)
+        t = np.multiply(x, c, out=work)
+        t += log_w
+        m = t.max()
+        t -= m
+        np.exp(t, out=t)
+        s = float(t.sum())
+        mean = float(np.dot(t, x)) / s  # R_c - lbar, R_c = T_c / S_c
+        var = float(np.dot(t, x2)) / s - mean * mean  # U_c / S_c - R_c^2
+        spread = m + math.log(s) - log_w_total  # ln(S_c / W) - c lbar
+        if not spread > 0.0:
+            return None
+        a = _solve_gamma_shape(spread)
+        q = u - lbar - a * spread + a * math.log(a) - a - sp.gammaln(a)
+        da_dc = mean / (1.0 / a - sp.polygamma(1, a))
+        dq = 1.0 - a * c * mean
+        d2q = -a * c * mean - c * c * (mean * da_dc + a * var)
+        visited.append(_ProfilePoint(u, q, dq, d2q, a, lbar + (spread - math.log(a)) / c))
+        return visited[-1]
 
-    lo, hi = _C_BRACKET
-    if c_hint is not None and np.isfinite(c_hint):
-        lo = min(max(c_hint / 3.0, _C_LIMITS[0]), lo)
-        hi = max(min(c_hint * 3.0, _C_LIMITS[1]), hi)
-    h_lo, h_hi = h(lo), h(hi)
-    while h_lo * h_hi > 0.0:
-        grown = False
-        if lo > _C_LIMITS[0]:
-            lo = max(lo / 10.0, _C_LIMITS[0])
-            h_lo = h(lo)
-            grown = True
-        if h_lo * h_hi > 0.0 and hi < _C_LIMITS[1]:
-            hi = min(hi * 10.0, _C_LIMITS[1])
-            h_hi = h(hi)
-            grown = True
-        if not grown:
-            raise MStepError(
-                f"could not bracket the power-shape root in [{_C_LIMITS[0]}, {_C_LIMITS[1]}]"
-            )
-    c = float(optimize.brentq(h, lo, hi, xtol=1e-11, rtol=1e-10))
-    a, log_theta, _ = _gg_profile(log_i, weights, w_total, lbar, c)
-    b = math.exp(min(max(log_theta / c, -700.0), 700.0))
-    return a, b, c
+    best, ascended = None, False
+    if c_hint is not None and np.isfinite(c_hint) and c_hint > 0:
+        start = point(min(max(math.log(c_hint), _LOG_C_LIMITS[0]), _LOG_C_LIMITS[1]))
+        if start is not None:
+            best, ascended = _newton_ascent(point, start)
+    if not ascended:
+        cold = _newton_ascent(point, _scan(point))[0]
+        if best is None or cold.q > best.q:
+            best = cold
+    if abs(best.log_b) > _LOG_B_MAX:
+        # b = theta^(1/c) would over- or underflow: best point seen where it does not
+        best = max((p for p in visited if abs(p.log_b) <= _LOG_B_MAX), key=lambda p: p.q, default=None)
+        if best is None:
+            raise DegenerateComponentError("no power shape gives the GG component a finite scale")
+    return best.a, math.exp(best.log_b), math.exp(best.u)
+
+
+@dataclass(frozen=True)
+class _ProfilePoint:
+    u: float  # ln c
+    q: float  # profile Q / W
+    dq: float  # dQ/du / W
+    d2q: float  # d2Q/du2 / W
+    a: float
+    log_b: float
+
+
+def _scan(point):
+    """Best point of a coarse ln c grid over the admissible range."""
+    points = [p for p in map(point, np.linspace(*_LOG_C_LIMITS, _SCAN_POINTS)) if p is not None]
+    if not points:
+        raise DegenerateComponentError("samples are degenerate for the GG component")
+    return max(points, key=lambda p: p.q)
+
+
+def _newton_ascent(point, current):
+    """Newton ascent of the profile in u = ln c from ``current``.
+
+    A step is the Newton step where the profile is concave and a full-length
+    gradient step elsewhere, clamped to _MAX_LOG_STEP and to the admissible
+    range, and halved until it ascends.  Short Newton steps in a concave
+    region are taken as they are: their gain lies below the rounding of Q.
+    Returns (point, ascended); ascended is False when a step that should have
+    ascended found no ascent before it shrank to nothing.
+    """
+    for _ in range(_NEWTON_ITERS):
+        if current.d2q < 0.0:
+            step = -current.dq / current.d2q
+        else:
+            step = math.copysign(_MAX_LOG_STEP, current.dq)
+        step = min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP)
+        step = min(max(current.u + step, _LOG_C_LIMITS[0]), _LOG_C_LIMITS[1]) - current.u
+        if abs(step) <= _LOG_C_TOL or abs(current.dq) <= _DQ_TOL * (1.0 + current.a):
+            return current, True
+        while True:
+            trial = point(current.u + step)
+            if trial is not None and (
+                trial.q >= current.q or (current.d2q < 0.0 and abs(step) <= _TRUSTED_STEP)
+            ):
+                current = trial
+                break
+            step *= 0.5
+            if abs(step) <= _LOG_C_TOL:
+                return current, False
+    return current, True
 
 
 def _gg_expected_loglik(log_i, weights, a, log_theta, c):
     """sum_i w_i ln g(I_i; a, theta^{1/c}, c), the Q contribution of the GG lobe."""
-    t = c * log_i - log_theta
-    power = np.exp(np.minimum(t, 700.0))
-    terms = (
-        math.log(c)
-        + (a * c - 1.0) * log_i
-        - a * log_theta
-        - power
-        - sp.gammaln(a)
+    power = c * log_i
+    power -= log_theta
+    np.minimum(power, 700.0, out=power)
+    np.exp(power, out=power)
+    return float(
+        weights.sum() * (math.log(c) - a * log_theta - sp.gammaln(a))
+        + (a * c - 1.0) * np.dot(weights, log_i)
+        - np.dot(weights, power)
     )
-    return float(np.dot(weights, terms))
-
-
-def _m_step_gg_bounded(samples, responsibilities):
-    """Fallback GG M-step: bounded maximization of the profile Q over c.
-
-    For each c the inner (a, theta) problem is the weighted Gamma ML in
-    I^c, solved through the digamma equation; the outer search is a bounded
-    scalar maximization.
-    """
-    arr = validate_samples(samples)
-    weights = 1.0 - np.asarray(responsibilities, dtype=float)
-    w_total = float(weights.sum())
-    if w_total <= _MASS_EPS * arr.size:
-        raise DegenerateComponentError("second component has no responsibility mass")
-    log_i = np.log(arr)
-    lbar = float(np.dot(weights, log_i) / w_total)
-
-    def inner(c):
-        _, log_s = _gg_weighted_stats(log_i, weights, c)
-        spread = log_s - math.log(w_total) - c * lbar  # ln(mean I^c) - mean ln I^c >= 0
-        if spread <= 0.0:
-            raise DegenerateComponentError("samples are degenerate for the GG component")
-        a = _solve_gamma_shape(spread)
-        log_theta = log_s - math.log(a) - math.log(w_total)
-        return a, log_theta
-
-    def neg_q(log_c):
-        c = math.exp(log_c)
-        a, log_theta = inner(c)
-        return -_gg_expected_loglik(log_i, weights, a, log_theta, c)
-
-    res = optimize.minimize_scalar(
-        neg_q, bounds=(math.log(_C_LIMITS[0]), math.log(_C_LIMITS[1])), method="bounded",
-        options={"xatol": 1e-10},
-    )
-    c = math.exp(float(res.x))
-    a, log_theta = inner(c)
-    return a, math.exp(min(max(log_theta / c, -700.0), 700.0)), c
 
 
 def _solve_gamma_shape(spread):
@@ -428,36 +455,21 @@ def _param_vector(params):
 # ---------------------------------------------------------------------------
 
 def _gg_update(samples, resp, params: EggParams):
-    """GG lobe M-step with the Q-ascent guarantee.
+    """GG lobe M-step, kept only when it does not lower the lobe's Q.
 
-    Tries the scalar root-solve first, falls back to the bounded profile
-    search, and keeps the previous (a, b, c) when neither candidate improves
-    the lobe's expected log-likelihood (the root function can pick up
-    spurious roots on near-degenerate data).
+    The profile Newton ascent starts at the previous c; comparing the lobe's
+    expected log-likelihood directly guards the monotone trace against
+    rounding in the closed-form profile.
     """
     log_i = np.log(samples)
     weights = 1.0 - resp
 
-    def q_of(triple):
-        a, b, c = triple
+    def q_of(a, b, c):
         return _gg_expected_loglik(log_i, weights, a, c * math.log(b), c)
 
-    q_prev = q_of((params.a, params.b, params.c))
-    root = None
-    try:
-        root = m_step_gg(samples, resp, c_hint=params.c)
-    except MStepError:
-        pass
-    if root is not None:
-        q_root = q_of(root)
-        if q_root >= q_prev:
-            return replace(params, a=root[0], b=root[1], c=root[2])
-        if q_root >= q_prev - ASCENT_SLACK:
-            return params  # converged plateau; nothing to gain
-    # bracketing failed or the root was spurious: bounded profile search
-    triple = _m_step_gg_bounded(samples, resp)
-    if q_of(triple) > q_prev:
-        return replace(params, a=triple[0], b=triple[1], c=triple[2])
+    a, b, c = m_step_gg(samples, resp, c_hint=params.c)
+    if q_of(a, b, c) >= q_of(params.a, params.b, params.c):
+        return replace(params, a=a, b=b, c=c)
     return params
 
 
@@ -501,9 +513,9 @@ def _em_once(samples, variant, cfg: EmConfig, params):
 
         new_resp, ll = _resp_and_loglik(samples, candidate)
         if not literal and ll < prev_ll - ASCENT_SLACK:
-            # should not happen with per-component acceptance; stop cleanly
+            # should not happen with per-component acceptance; stop cleanly,
+            # keeping the last accepted parameters, and report no convergence
             iterations -= 1
-            converged = True
             break
 
         params, resp = candidate, new_resp
@@ -541,7 +553,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
         init = base_init if k == 0 else _perturb(base_init, rng)
         try:
             params, trace, iterations, converged, resp = _em_once(arr, variant, cfg, init)
-        except (DegenerateComponentError, MStepError) as exc:
+        except DegenerateComponentError as exc:
             diagnostics.append(f"restart {k}: {exc}")
             continue
         final_ll = trace[-1]

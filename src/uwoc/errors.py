@@ -30,10 +30,6 @@ class DegenerateComponentError(UwocError):
     """A mixture component has (numerically) no responsibility mass."""
 
 
-class MStepError(UwocError):
-    """The M-step root solve could not bracket a solution."""
-
-
 class FitFailureError(UwocError):
     """Every EM restart ended degenerate; ``diagnostics`` holds per-restart info."""
 

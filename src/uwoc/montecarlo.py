@@ -1,9 +1,9 @@
 """Monte-Carlo estimators for the link metrics, the simulation oracle.
 
 Draws fading realizations in fixed-size chunks, each from an independent
-substream keyed by (seed, chunk index), and reduces partial sums in chunk
-order, so estimates are bit-identical for a given configuration regardless
-of how the chunks are executed.
+substream keyed by (seed, chunk index), and merges the chunks' means and
+squared deviations in chunk order, so estimates are bit-identical for a
+given configuration regardless of how the chunks are executed.
 
 The BER estimator averages the conditional error probability of each draw
 (the kernel the analytic expression integrates) instead of simulating bit
@@ -52,20 +52,27 @@ def _chunk_rng(cfg: SimConfig, index):
 
 
 def _accumulate(link: LinkBudget, cfg: SimConfig, stat):
-    """Sum stat(gamma_draws) over chunks; returns (sum, sum_sq, n)."""
+    """Mean of stat(gamma_draws) over all chunks, with its standard error.
+
+    Chunks merge by Chan's parallel update of (n, mean, M2), which keeps the
+    variance exact when it is small against the squared mean.
+    """
     r, mu = link.r, link.mu_r
-    total = 0.0
-    total_sq = 0.0
+    n = 0
+    mean = 0.0
+    m2 = 0.0
     for index, size in enumerate(_chunk_sizes(cfg)):
         rng = _chunk_rng(cfg, index)
         gamma = mu * link.params.sample(rng, size) ** r
         values = stat(gamma)
-        total += float(values.sum())
-        total_sq += float(np.dot(values, values))
-    n = cfg.n_samples
-    mean = total / n
-    var = max(total_sq / n - mean**2, 0.0)
-    se = math.sqrt(var / n)
+        chunk_mean = float(values.mean())
+        centred = values - chunk_mean
+        delta = chunk_mean - mean
+        total = n + size
+        mean += delta * (size / total)
+        m2 += float(np.dot(centred, centred)) + delta * delta * n * size / total
+        n = total
+    se = math.sqrt(m2 / n / n)
     return mean, se
 
 
@@ -78,12 +85,13 @@ def simulate_outage(link: LinkBudget, cfg: SimConfig = SimConfig()):
 def simulate_ber(link: LinkBudget, modulation: Modulation, cfg: SimConfig = SimConfig()):
     """Average of the conditional BER kernel over fading draws, with its SE."""
     _check_compat(link, modulation)
-    delta, p, q, _ = modulation_params(modulation)
+    delta, _, q, _ = modulation_params(modulation)
 
     def stat(gamma):
         acc = np.zeros_like(gamma)
         for qk in q:
-            acc += sp.gammaincc(p, qk * gamma)
+            # p = 1/2 for every scheme, and Gamma(1/2, x) / Gamma(1/2) = erfc(sqrt(x))
+            acc += sp.erfc(np.sqrt(qk * gamma))
         return 0.5 * delta * acc
 
     return _accumulate(link, cfg, stat)

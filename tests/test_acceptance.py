@@ -8,6 +8,7 @@ import math
 import time
 
 import numpy as np
+import pytest
 from scipy import special as sp
 
 from uwoc.distributions import EggParams
@@ -33,6 +34,8 @@ from uwoc.performance import (
 )
 from uwoc.presets import ALL_CONDITIONS, condition
 from uwoc.special import FoxHSpec, QuadratureConfig, adaptive_quad, fox_h
+
+pytestmark = pytest.mark.acceptance
 
 ROW1 = condition("2.4lpm-0.05C").egg
 STRONG = condition("23.6lpm-0.22C").egg

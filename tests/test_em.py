@@ -1,6 +1,14 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.optimize import brentq
+from scipy.special import digamma, gammaln, logsumexp
 
+import uwoc.em as em_module
 from uwoc.distributions import EggParams
 from uwoc.em import (
     EmConfig,
@@ -23,6 +31,26 @@ def gg_q(samples, weights, a, b, c):
     """Expected GG log-likelihood, via the weight-zero mixture density."""
     lobe = EggParams(0.0, 1.0, a, b, c)
     return float(np.dot(weights, lobe.log_pdf(samples)))
+
+
+def gg_q_log(samples, weights, a, log_theta, c):
+    """Expected GG log-likelihood at theta = b^c, summed term by term in log space."""
+    keep = weights > 0.0  # I^c may overflow where the weight is 0
+    log_i = np.log(samples[keep])
+    terms = (math.log(c) + (a * c - 1.0) * log_i - a * log_theta
+             - np.exp(c * log_i - log_theta) - gammaln(a))
+    return float(np.dot(weights[keep], terms))
+
+
+def gg_profile(samples, weights, c):
+    """Profile Q at c: the weighted Gamma ML of I^c in (a, theta), solved apart."""
+    log_y = c * np.log(samples)
+    w_total = float(weights.sum())
+    log_mean_y = float(logsumexp(log_y, b=weights)) - math.log(w_total)
+    spread = log_mean_y - float(np.dot(weights, log_y)) / w_total
+    log_a = brentq(lambda t: t - digamma(math.exp(t)) - spread, -33.0, 40.0, xtol=1e-14)
+    a = math.exp(log_a)
+    return gg_q_log(samples, weights, a, log_mean_y - math.log(a), c), a
 
 
 class TestEStep:
@@ -83,6 +111,53 @@ class TestMStepGG:
         data = np.array([0.5, 1.0, 2.0])
         with pytest.raises(DegenerateComponentError):
             m_step_gg(data, np.ones(3))
+
+    @pytest.mark.parametrize("label", ["2.4lpm-0.05C", "salty-16.5lpm", "23.6lpm-0.22C"])
+    def test_stationary_maximum_at_generating_responsibilities(self, label):
+        truth = condition(label).egg
+        data = truth.sample(np.random.default_rng(23), 20_000)
+        weights = 1.0 - e_step(data, truth)
+        a, b, c = m_step_gg(data, 1.0 - weights)
+        # envelope theorem: at the inner (a, b) optimum the profile slope is dQ/dc
+        log_ratio = np.log(data / b)
+        slope = float(np.dot(weights, 1.0 / c + a * log_ratio - np.exp(c * log_ratio) * log_ratio))
+        assert abs(slope) * c <= 1e-6 * weights.sum()
+        h = 1e-2
+        q_minus, q_0, q_plus = (gg_profile(data, weights, c * math.exp(k * h))[0] for k in (-1, 0, 1))
+        curvature = (q_plus - 2.0 * q_0 + q_minus) / h**2
+        assert curvature < 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        log_a=st.floats(math.log(7.5e-3), math.log(4e3)),
+        log_b=st.floats(math.log(0.03), math.log(7.5)),
+        log_c=st.floats(math.log(2.0), math.log(217.0)),
+        log_hint=st.floats(math.log(0.1), math.log(1e3)),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_never_below_the_hint(self, log_a, log_b, log_c, log_hint, seed):
+        rng = np.random.default_rng(seed)
+        lobe = EggParams(0.0, 1.0, math.exp(log_a), math.exp(log_b), math.exp(log_c))
+        data = lobe.sample(rng, 2000)
+        resp = rng.uniform(0.0, 0.9, data.size)
+        weights = 1.0 - resp
+        hint = math.exp(log_hint)
+        a, b, c = m_step_gg(data, resp, c_hint=hint)
+        q_hint, a_hint = gg_profile(data, weights, hint)
+        # Q sums terms of size W a ln a that cancel where a is large; rounding scales with them
+        big = max(a, a_hint)
+        tol = 1e-14 * weights.sum() * (1.0 + big * (1.0 + abs(math.log(big))))
+        assert gg_q_log(data, weights, a, c * math.log(b), c) >= q_hint - tol
+
+    @pytest.mark.parametrize("label", ["2.4lpm-0.05C", "salty-16.5lpm", "23.6lpm-0.22C"])
+    def test_cold_start_reaches_the_grid_maximum(self, label):
+        truth = condition(label).egg
+        data = truth.sample(np.random.default_rng(29), 20_000)
+        weights = 1.0 - e_step(data, truth)
+        a, b, c = m_step_gg(data, 1.0 - weights)
+        q = gg_q_log(data, weights, a, c * math.log(b), c)
+        grid = max(gg_profile(data, weights, x)[0] for x in np.geomspace(1e-3, 2e4, 200))
+        assert q >= grid - 1e-9 * abs(q)
 
 
 class TestMStepExp:
@@ -246,6 +321,25 @@ class TestFit:
         report = fit(data, "egg", FAST)
         summary = report.responsibilities_summary
         assert 0.0 <= summary["min"] <= summary["mean"] <= summary["max"] <= 1.0
+
+    def test_likelihood_drop_stops_without_convergence(self, monkeypatch):
+        data = ROW1.sample(np.random.default_rng(41), 5000)
+        accepted = []
+        update = em_module._second_lobe_update
+
+        def dropping_update(samples, resp, params, variant):
+            new = update(samples, resp, params, variant)
+            if len(accepted) == 3:
+                return replace(new, c=3.0 * new.c)  # lowers the likelihood once
+            accepted.append(new)
+            return new
+
+        monkeypatch.setattr(em_module, "_second_lobe_update", dropping_update)
+        report = fit(data, "egg", EmConfig(epsilon=1e-12, max_iters=50, restarts=1))
+        assert report.converged is False
+        assert report.iterations == 3
+        assert report.model == accepted[-1]
+        assert report.loglik == pytest.approx(log_likelihood(data, accepted[-1]), rel=1e-12)
 
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):

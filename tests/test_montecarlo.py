@@ -8,6 +8,7 @@ from scipy import special as sp
 from uwoc.distributions import EggParams
 from uwoc.montecarlo import SimConfig, simulate_ber, simulate_capacity, simulate_outage
 from uwoc.performance import (
+    CAPACITY_TAU,
     HETERODYNE,
     IMDD,
     LinkBudget,
@@ -47,6 +48,25 @@ class TestDeterminism:
         _, se1 = simulate_capacity(link, SimConfig(n_samples=250_000, seed=3))
         _, se4 = simulate_capacity(link, SimConfig(n_samples=1_000_000, seed=3))
         assert se4 == pytest.approx(0.5 * se1, rel=0.10)
+
+
+class TestChunkMerge:
+    def test_small_variance_matches_two_pass(self):
+        # values 1 + 1e-9 jitter: a sum-of-squares variance cancels to 0 here
+        draws = []
+
+        def sample(rng, size):
+            draws.append(1.0 + 1e-9 * rng.standard_normal(size))
+            return draws[-1]
+
+        link = LinkBudget(ROW1, IMDD, db(20.0))
+        object.__setattr__(link, "params", SimpleNamespace(sample=sample))
+        est, se = simulate_capacity(link, SimConfig(n_samples=3000, seed=4, chunk_size=1000))
+        assert len(draws) == 3
+        gamma = link.mu_r * np.concatenate(draws) ** link.r
+        values = np.log1p(CAPACITY_TAU * gamma)
+        assert est == pytest.approx(values.mean(), rel=1e-14)
+        assert se == pytest.approx(values.std() / math.sqrt(values.size), rel=1e-6)
 
 
 class TestOutage:
