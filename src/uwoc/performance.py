@@ -5,9 +5,14 @@ Maps the irradiance mixture into the electrical-SNR domain for heterodyne
 evaluates outage probability, average bit error rate, and ergodic capacity.
 Every metric has an exact route (incomplete-gamma or Fox H closed form), an
 independent adaptive-quadrature route, and a high-SNR asymptote in elementary
-functions.  The exact BER/capacity default to the quadrature route with the
-closed form as a cross-check, which is the more robust choice for the very
-large power-shape values seen in fitted parameters.
+functions.  The exact BER/capacity default to the quadrature route, the more
+robust choice for the very large power-shape values seen in fitted
+parameters, and return it when its own error bound certifies it.  Otherwise
+the Fox H closed form cross-checks the quadrature value, or replaces it when
+the quadrature fails to converge, with a warning either way.  Both routes
+can still be wrong together in the deep tail of a few fitted shapes (the
+``*-0lpm`` rows at high SNR); such values stay flagged by the cross-check
+warning.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from scipy import special as sp
 
 from .distributions import EggParams, EgParams, WEIGHT_EPS
 from .errors import ConvergenceError
-from .special import FoxHSpec, QuadratureConfig, adaptive_quad, fox_h_ln
+from .special import Estimate, FoxHSpec, QuadratureConfig, adaptive_quad, fox_h_ln
 
 __all__ = [
     "DetectionMode",
@@ -50,8 +55,9 @@ __all__ = [
 # multiplicative SNR constant inside the capacity log
 CAPACITY_TAU = math.e / (2.0 * math.pi)
 
-# exact closed forms must match their quadrature oracle this tightly before
-# being trusted; otherwise the quadrature value wins and a warning is issued
+# a quadrature value is returned as certified when its error bound is at most
+# this fraction of it; an uncertified value is cross-checked against the Fox H
+# closed form, which must match it this tightly or a warning is issued
 CROSSCHECK_RTOL = 1e-6
 
 _QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-8, max_subdivisions=400)
@@ -214,9 +220,6 @@ class LinkBudget:
     def r(self):
         return self.mode.r
 
-    def with_gamma_bar(self, gamma_bar):
-        return LinkBudget(self.params, self.mode, gamma_bar, self.gamma_th)
-
 
 # ---------------------------------------------------------------------------
 # SNR distribution
@@ -314,7 +317,9 @@ def _gamma_lobe_expectation(a, h_ln, scale_ln, power, cfg=_QUAD, feature_log_i=N
             damp = math.exp(-math.exp(log_u)) if log_u > -40.0 else 1.0
             return damp * h_ln(scale_ln + power * log_u)
 
-        return adaptive_quad(integrand, 0.0, w_hi, cfg, points=points) / math.gamma(a + 1.0)
+        est = adaptive_quad(integrand, 0.0, w_hi, cfg, points=points)
+        norm = math.gamma(a + 1.0)
+        return Estimate(est / norm, est.error_bound / norm)
 
     lg = sp.gammaln(a)
     hi = a + 40.0 * math.sqrt(a) + 60.0
@@ -336,9 +341,10 @@ def _mixture_expectation(params: EggParams, h_ln, cfg=_QUAD, feature_log_i=None)
 
     The exponential lobe is integrated in log intensity, where both the
     weight roll-off and any h_ln transition have order-one widths, with a
-    split point at ``feature_log_i`` when given.
+    split point at ``feature_log_i`` when given.  The returned
+    :class:`Estimate` carries the weighted sum of the lobes' error bounds.
     """
-    total = 0.0
+    total = bound = 0.0
     if params.omega >= WEIGHT_EPS:
         log_lam = math.log(params.lam)
 
@@ -354,20 +360,27 @@ def _mixture_expectation(params: EggParams, h_ln, cfg=_QUAD, feature_log_i=None)
             lo = min(lo, v_c - 50.0)
             if lo < v_c < hi:
                 points = [v_c]
-        total += params.omega * adaptive_quad(exp_part, lo, hi, cfg, points=points)
+        est = adaptive_quad(exp_part, lo, hi, cfg, points=points)
+        total += params.omega * est
+        bound += params.omega * est.error_bound
     if 1.0 - params.omega >= WEIGHT_EPS:
-        total += (1.0 - params.omega) * _gamma_lobe_expectation(
+        est = _gamma_lobe_expectation(
             params.a, h_ln, math.log(params.b), 1.0 / params.c, cfg, feature_log_i
         )
-    return total
+        total += (1.0 - params.omega) * est
+        bound += (1.0 - params.omega) * est.error_bound
+    return Estimate(total, bound)
 
 
 def avg_ber_quadrature(link: LinkBudget, modulation: Modulation, cfg=_QUAD):
-    """Average BER from the defining conditional-kernel integral."""
+    """Average BER from the defining conditional-kernel integral.
+
+    The returned :class:`Estimate` carries the error bound of the value.
+    """
     _check_compat(link, modulation)
     delta, p, q, _ = modulation_params(modulation)
     r, mu = link.r, link.mu_r
-    total = 0.0
+    total = bound = 0.0
     for qk in q:
         log_q_mu = math.log(qk) + math.log(mu)
 
@@ -375,14 +388,17 @@ def avg_ber_quadrature(link: LinkBudget, modulation: Modulation, cfg=_QUAD):
             return sp.gammaincc(p, math.exp(min(log_q_mu + r * log_i, 709.0)))
 
         # the kernel falls from 1 to 0 around q mu I^r = 1
-        total += _mixture_expectation(
-            link.params, kernel, cfg, feature_log_i=-log_q_mu / r
-        )
-    return 0.5 * delta * total
+        est = _mixture_expectation(link.params, kernel, cfg, feature_log_i=-log_q_mu / r)
+        total += est
+        bound += est.error_bound
+    return Estimate(0.5 * delta * total, 0.5 * delta * bound)
 
 
 def capacity_quadrature(link: LinkBudget, cfg=_QUAD):
-    """Ergodic capacity E[ln(1 + tau gamma)] by quadrature, in nats."""
+    """Ergodic capacity E[ln(1 + tau gamma)] by quadrature, in nats.
+
+    The returned :class:`Estimate` carries the error bound of the value.
+    """
     r = link.r
     log_tau_mu = math.log(CAPACITY_TAU) + math.log(link.mu_r)
 
@@ -514,10 +530,25 @@ def _crosschecked(exact_fn, quad_fn, what, method):
     if method == "foxh":
         return exact_fn()
     if method == "quadrature":
-        return quad_fn()
+        return float(quad_fn())
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    reference = quad_fn()
+    try:
+        estimate = quad_fn()
+    except ConvergenceError as failure:
+        try:
+            closed = exact_fn()
+        except ConvergenceError:
+            raise failure
+        warnings.warn(
+            f"{what}: {failure}; using the closed form value {closed!r}",
+            RuntimeWarning,
+            stacklevel=3,
+        )
+        return closed
+    reference = float(estimate)
+    if 0.0 < estimate.error_bound <= CROSSCHECK_RTOL * reference:
+        return reference
     try:
         closed = exact_fn()
     except ConvergenceError as exc:
@@ -540,9 +571,15 @@ def _crosschecked(exact_fn, quad_fn, what, method):
 def avg_ber(link: LinkBudget, modulation: Modulation, method="auto"):
     """Average bit error rate.
 
-    ``method='auto'`` evaluates the quadrature route and cross-checks the Fox
-    H closed form against it, warning (and keeping the quadrature value) on
-    disagreement; ``'foxh'`` and ``'quadrature'`` force a single route.
+    ``method='auto'`` evaluates the quadrature route and returns it when its
+    error bound is at most ``CROSSCHECK_RTOL`` of the (positive) value.
+    Otherwise the Fox H closed form is evaluated too: if the quadrature
+    converged, the closed form only cross-checks it (a ``RuntimeWarning`` on
+    disagreement, the quadrature value is kept); if the quadrature raised
+    :class:`ConvergenceError`, the closed form value is returned with a
+    ``RuntimeWarning``, and the quadrature's error is re-raised when the
+    closed form fails too.  ``'foxh'`` and ``'quadrature'`` force a single
+    route.
     """
     _check_compat(link, modulation)
     return _crosschecked(
@@ -554,7 +591,12 @@ def avg_ber(link: LinkBudget, modulation: Modulation, method="auto"):
 
 
 def ergodic_capacity(link: LinkBudget, method="auto"):
-    """Ergodic capacity in nats per channel use; see :func:`avg_ber` for methods."""
+    """Ergodic capacity in nats per channel use.
+
+    ``method='auto'`` returns the quadrature value when its own error bound
+    certifies it and brings in the Fox H closed form otherwise, exactly as
+    :func:`avg_ber` does; ``'foxh'`` and ``'quadrature'`` force one route.
+    """
     return _crosschecked(
         lambda: _capacity_foxh(link),
         lambda: capacity_quadrature(link),

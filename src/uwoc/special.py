@@ -2,9 +2,9 @@
 
 Everything downstream (mixture densities, SNR statistics, error-rate and
 capacity formulas) reduces to the functions in this module: log-gamma,
-digamma, regularized incomplete gammas, adaptive quadrature, and a numerical
-Fox H evaluator based on direct Mellin-Barnes contour integration along a
-vertical line.
+regularized incomplete gammas, adaptive quadrature, and a numerical Fox H
+evaluator based on direct Mellin-Barnes contour integration along a vertical
+line.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ __all__ = [
     "QuadratureConfig",
     "FoxHSpec",
     "log_gamma",
-    "digamma",
     "reg_lower_inc_gamma",
     "upper_inc_gamma",
     "adaptive_quad",
@@ -62,13 +61,6 @@ def log_gamma(x):
     return float(sp.gammaln(x))
 
 
-def digamma(x):
-    """psi(x) = d/dx ln Gamma(x) for x > 0."""
-    x = float(x)
-    _check_positive("x", x)
-    return float(sp.digamma(x))
-
-
 def reg_lower_inc_gamma(a, x):
     """Regularized lower incomplete gamma P(a, x) = gamma(a, x)/Gamma(a)."""
     a = float(a)
@@ -95,12 +87,28 @@ def upper_inc_gamma(p, x):
     return 0.0
 
 
+class Estimate(float):
+    """A quadrature value that also carries its absolute error bound."""
+
+    __slots__ = ("error_bound",)
+
+    def __new__(cls, value, error_bound):
+        self = super().__new__(cls, value)
+        self.error_bound = float(error_bound)
+        return self
+
+    def __reduce__(self):
+        return Estimate, (float(self), self.error_bound)
+
+
 def adaptive_quad(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD, points=None):
     """Integrate ``f`` over (lo, hi); either end may be infinite.
 
-    Returns the estimate or raises :class:`ConvergenceError` carrying the
-    best estimate and its error bound when the requested tolerance cannot be
-    certified within ``cfg.max_subdivisions`` subdivisions.
+    Returns the estimate, an :class:`Estimate` whose ``error_bound`` is the
+    absolute error estimate of ``scipy.integrate.quad``, or raises
+    :class:`ConvergenceError` carrying the best estimate and its error bound
+    when the requested tolerance cannot be certified within
+    ``cfg.max_subdivisions`` subdivisions.
     """
     kwargs = dict(
         epsabs=cfg.abs_tol,
@@ -120,7 +128,7 @@ def adaptive_quad(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD, points=None):
             estimate=value,
             error_bound=err,
         )
-    return value
+    return Estimate(value, err)
 
 
 @dataclass(frozen=True)

@@ -4,9 +4,12 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
+from uwoc import performance
 from uwoc.distributions import EggParams
+from uwoc.errors import ConvergenceError
 from uwoc.performance import (
     CAPACITY_TAU,
+    CROSSCHECK_RTOL,
     HETERODYNE,
     IMDD,
     DetectionMode,
@@ -27,7 +30,7 @@ from uwoc.performance import (
     snr_moment,
     snr_pdf,
 )
-from uwoc.presets import condition
+from uwoc.presets import ALL_CONDITIONS, condition
 from uwoc.special import QuadratureConfig, adaptive_quad
 
 ROW1 = condition("2.4lpm-0.05C").egg
@@ -39,6 +42,22 @@ QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=400)
 
 def db(x):
     return 10.0 ** (x / 10.0)
+
+
+def certified(estimate):
+    """The rule by which ``method='auto'`` returns a quadrature value alone."""
+    return 0.0 < estimate.error_bound <= CROSSCHECK_RTOL * estimate
+
+
+def assert_crosscheck(quad_fn, foxh_fn, point, uncertified):
+    """Fox H agrees with a certified quadrature value to CROSSCHECK_RTOL;
+    an uncertified point is collected instead of compared."""
+    q = quad_fn()
+    if not certified(q):
+        uncertified.append(point)
+        return
+    f = foxh_fn()
+    assert abs(f - q) <= CROSSCHECK_RTOL * max(abs(f), abs(q)), (point, f, q)
 
 
 class TestModulationParams:
@@ -231,19 +250,21 @@ class TestAvgBer:
             assert avg_ber(link, ook, method="quadrature") == pytest.approx(want, rel=0.05)
 
     def test_foxh_matches_quadrature(self):
-        ook = Modulation.ook()
-        bpsk = Modulation.bpsk()
-        for label in ("2.4lpm-0.05C", "salty-16.5lpm", "fresh-16.5lpm", "23.6lpm-0.22C"):
-            egg = condition(label).egg
+        # every preset row; the quadrature's bound leaves uncertified only the
+        # deep tail of the *-0lpm rows, where both routes can be wrong
+        uncertified = []
+        for row in ALL_CONDITIONS:
             for snr_db in (10.0, 30.0, 50.0):
-                link2 = LinkBudget(egg, IMDD, db(snr_db))
-                f = _avg_ber_foxh(link2, ook)
-                q = avg_ber_quadrature(link2, ook)
-                assert abs(f - q) <= 1e-6 * max(f, q) + 1e-20
-                link1 = LinkBudget(egg, HETERODYNE, db(snr_db))
-                f = _avg_ber_foxh(link1, bpsk)
-                q = avg_ber_quadrature(link1, bpsk)
-                assert abs(f - q) <= 1e-6 * max(f, q) + 1e-20
+                for mode, modulation in ((IMDD, Modulation.ook()), (HETERODYNE, Modulation.bpsk())):
+                    link = LinkBudget(row.egg, mode, db(snr_db))
+                    assert_crosscheck(
+                        lambda: avg_ber_quadrature(link, modulation),
+                        lambda: _avg_ber_foxh(link, modulation),
+                        (row.label, mode.name, snr_db),
+                        uncertified,
+                    )
+        assert {label for label, _, _ in uncertified} <= {"salty-0lpm", "fresh-0lpm"}
+        assert all(snr_db >= 30.0 for _, _, snr_db in uncertified)
 
     def test_shape_one_reduced_equals_general(self):
         # at c = 1 the closed form routes through the unit-coefficient Meijer
@@ -287,6 +308,64 @@ class TestAvgBer:
         auto = avg_ber(link, Modulation.ook())
         quad = avg_ber(link, Modulation.ook(), method="quadrature")
         assert auto == pytest.approx(quad, rel=1e-12)
+
+
+def _no_foxh(*args, **kwargs):
+    raise AssertionError("the Fox H route ran on a certified point")
+
+
+class TestAutoRoute:
+    """``method='auto'``: one route where the quadrature certifies itself."""
+
+    ROWS = ("2.4lpm-0.05C", "23.6lpm-0.22C", "salty-16.5lpm")
+
+    def test_certified_points_skip_foxh(self, monkeypatch):
+        monkeypatch.setattr(performance, "_avg_ber_foxh", _no_foxh)
+        monkeypatch.setattr(performance, "_capacity_foxh", _no_foxh)
+        for label in self.ROWS:
+            egg = condition(label).egg
+            for snr_db in (10.0, 30.0, 50.0):
+                for mode, modulation in ((IMDD, Modulation.ook()), (HETERODYNE, Modulation.bpsk())):
+                    link = LinkBudget(egg, mode, db(snr_db))
+                    quad = avg_ber_quadrature(link, modulation)
+                    assert certified(quad)
+                    assert avg_ber(link, modulation) == float(quad)
+                link = LinkBudget(egg, IMDD, db(snr_db))
+                quad = capacity_quadrature(link)
+                assert certified(quad)
+                assert ergodic_capacity(link) == float(quad)
+
+    def test_quadrature_failure_falls_back_to_foxh(self):
+        # the 16-QAM quadrature of this row does not converge at 20 dB; the
+        # reference is mpmath's value (perfbench/reference/curves_reference.json)
+        link = LinkBudget(condition("2.4lpm-0.20C").egg, HETERODYNE, db(20.0))
+        with pytest.raises(ConvergenceError):
+            avg_ber_quadrature(link, Modulation.mqam(16))
+        with pytest.warns(RuntimeWarning, match="quadrature did not converge"):
+            got = avg_ber(link, Modulation.mqam(16))
+        assert got == pytest.approx(1.902808684435928e-2, rel=1e-6)
+
+    def test_both_routes_failing_raises_quadrature_error(self, monkeypatch):
+        def failing(*args, **kwargs):
+            raise ConvergenceError("Fox H failed", estimate=None)
+
+        monkeypatch.setattr(performance, "_avg_ber_foxh", failing)
+        link = LinkBudget(condition("2.4lpm-0.20C").egg, HETERODYNE, db(20.0))
+        with pytest.raises(ConvergenceError, match="quadrature did not converge"):
+            avg_ber(link, Modulation.mqam(16))
+
+    def test_uncertified_disagreement_warns(self):
+        # quadrature 1.9e-299 against a true 4.86e-273
+        link = LinkBudget(condition("fresh-0lpm").egg, HETERODYNE, db(30.0))
+        assert not certified(avg_ber_quadrature(link, Modulation.bpsk()))
+        with pytest.warns(RuntimeWarning, match="disagrees"):
+            avg_ber(link, Modulation.bpsk())
+
+    def test_zero_counts_as_uncertified(self):
+        link = LinkBudget(condition("fresh-0lpm").egg, IMDD, db(40.0))
+        assert avg_ber_quadrature(link, Modulation.ook()) == 0.0
+        with pytest.warns(RuntimeWarning, match="disagrees"):
+            assert avg_ber(link, Modulation.ook()) == 0.0
 
 
 class TestAvgBerQuadrature:
@@ -352,13 +431,17 @@ class TestErgodicCapacity:
         assert ergodic_capacity(link) == pytest.approx(mc, rel=5e-3)
 
     def test_foxh_matches_quadrature(self):
-        for label in ("2.4lpm-0.05C", "fresh-16.5lpm", "salty-0lpm"):
-            egg = condition(label).egg
+        uncertified = []
+        for row in ALL_CONDITIONS:
             for mode in (IMDD, HETERODYNE):
-                link = LinkBudget(egg, mode, db(30.0))
-                f = ergodic_capacity(link, method="foxh")
-                q = capacity_quadrature(link)
-                assert abs(f - q) <= 1e-6 * max(abs(f), abs(q))
+                link = LinkBudget(row.egg, mode, db(30.0))
+                assert_crosscheck(
+                    lambda: capacity_quadrature(link),
+                    lambda: ergodic_capacity(link, method="foxh"),
+                    (row.label, mode.name),
+                    uncertified,
+                )
+        assert uncertified == []
 
     def test_monotone_in_snr(self):
         vals = [ergodic_capacity(LinkBudget(ROW1, IMDD, db(s)), method="quadrature")

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -9,7 +10,6 @@ from uwoc.special import (
     FoxHSpec,
     QuadratureConfig,
     adaptive_quad,
-    digamma,
     fox_h,
     log_gamma,
     reg_lower_inc_gamma,
@@ -17,15 +17,6 @@ from uwoc.special import (
 )
 
 GRID = np.logspace(-3, 3, 61)
-
-
-def shifted_fd_digamma(x, shift=12, h=1e-4):
-    """Independent digamma oracle: central difference of log_gamma at x + shift
-    (where curvature is mild), pulled back through the exact recurrence
-    psi(x) = psi(x + n) - sum 1/(x + k)."""
-    y = x + shift
-    fd = (log_gamma(y + h) - log_gamma(y - h)) / (2.0 * h)
-    return fd - sum(1.0 / (x + k) for k in range(shift))
 
 
 class TestLogGamma:
@@ -49,25 +40,6 @@ class TestLogGamma:
     def test_domain(self, bad):
         with pytest.raises(ValueError):
             log_gamma(bad)
-
-
-class TestDigamma:
-    def test_euler_mascheroni(self):
-        assert digamma(1.0) == pytest.approx(-0.5772156649015329, abs=1e-12)
-
-    def test_recurrence(self):
-        assert digamma(2.0) == pytest.approx(1.0 - 0.5772156649015329, abs=1e-12)
-
-    def test_small_argument_fd_oracle(self):
-        assert digamma(0.0121) == pytest.approx(shifted_fd_digamma(0.0121), abs=1e-6)
-
-    def test_fd_oracle_on_grid(self):
-        for x in GRID:
-            assert abs(digamma(x) - shifted_fd_digamma(x)) < 1e-6
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            digamma(-0.5)
 
 
 class TestIncompleteGamma:
@@ -122,6 +94,13 @@ class TestAdaptiveQuad:
 
     def test_linear(self):
         assert adaptive_quad(lambda t: t, 0.0, 1.0) == pytest.approx(0.5, rel=1e-12)
+
+    def test_carries_error_bound(self):
+        est = adaptive_quad(lambda t: math.exp(-t), 0.0, 30.0)
+        assert isinstance(est, float)
+        assert abs(est - -math.expm1(-30.0)) <= est.error_bound <= 1e-9
+        copy = pickle.loads(pickle.dumps(est))
+        assert (copy, copy.error_bound) == (est, est.error_bound)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
