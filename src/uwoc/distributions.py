@@ -52,6 +52,32 @@ def _as_positive_array(i, name="i", allow_zero=False):
     return arr
 
 
+def _log_mix(omega, log_exp, log_second):
+    """ln(e^x + e^y) and the exponential lobe's share e^x / (e^x + e^y).
+
+    x and y are the weighted lobe log densities, both overwritten.  One pass of
+    log-sum-exp: with m = max(x, y) and e = exp(-|x - y|), ln(e^x + e^y) =
+    m + ln(1 + e), and the share is 1/(1 + e) where the exponential lobe is the
+    larger and e/(1 + e) where it is not.  A lobe whose weight is below
+    WEIGHT_EPS is absent: the other lobe's log density is returned as it is,
+    with a share of 0 or 1.
+    """
+    if omega < WEIGHT_EPS:
+        return log_second, np.zeros(log_second.shape)
+    if 1.0 - omega < WEIGHT_EPS:
+        return log_exp, np.ones(log_exp.shape)
+    exp_wins = log_exp >= log_second
+    log_mix = np.maximum(log_exp, log_second)
+    e = np.minimum(log_exp, log_second, out=log_second)
+    e -= log_mix
+    np.exp(e, out=e)
+    log_mix += np.log1p(e, out=log_exp)
+    share = np.maximum(e, exp_wins, out=log_exp)
+    e += 1.0
+    share /= e
+    return log_mix, share
+
+
 def _maybe_scalar(value, template):
     if np.isscalar(template) or np.ndim(template) == 0:
         return float(value)
@@ -64,18 +90,24 @@ class _Mixture(ABC):
     variant: str
 
     @abstractmethod
-    def _second_log_pdf(self, i):
+    def _second_log_pdf(self, i, log_i):
         """log of the weighted second-lobe density (weight 1 - omega included)."""
 
-    def component_log_pdfs(self, i):
-        """Weighted per-lobe log densities (exponential lobe, second lobe)."""
-        arr = _as_positive_array(i)
-        return self._exp_log_pdf(arr), self._second_log_pdf(arr)
+    def component_log_pdfs(self, i, *, log_i=None):
+        """Weighted per-lobe log densities (exponential lobe, second lobe) as arrays.
+
+        ``log_i`` is ln i of an array ``i`` the caller has already validated
+        (positive and finite); passing it skips the check and the logarithm.
+        """
+        if log_i is None:
+            i = np.atleast_1d(_as_positive_array(i))
+            log_i = np.log(i)
+        return self._exp_log_pdf(i), self._second_log_pdf(i, log_i)
 
     def log_pdf(self, i):
         """log of the mixture density at irradiance i > 0."""
-        log_exp, log_second = self.component_log_pdfs(i)
-        return np.logaddexp(log_exp, log_second)
+        log_mix = _log_mix(self.omega, *self.component_log_pdfs(i))[0]
+        return log_mix[0] if np.ndim(i) == 0 else log_mix
 
     @abstractmethod
     def cdf(self, i):
@@ -122,7 +154,8 @@ class _Mixture(ABC):
         # log of the exponential-lobe density, weight included
         if self.omega < WEIGHT_EPS:
             return np.full_like(i, -np.inf)
-        return math.log(self.omega) - math.log(self.lam) - i / self.lam
+        out = np.divide(i, self.lam)
+        return np.subtract(math.log(self.omega) - math.log(self.lam), out, out=out)
 
     def _exp_cdf(self, i):
         return -np.expm1(-i / self.lam)
@@ -183,28 +216,28 @@ class EggParams(_Mixture):
         _validate_weight(self.omega)
         _validate_positive(lam=self.lam, a=self.a, b=self.b, c=self.c)
 
-    def _second_log_pdf(self, i):
+    def _second_log_pdf(self, i, log_i):
         # evaluated in log space: c up to a few hundred makes (i/b)^c overflow
         if 1.0 - self.omega < WEIGHT_EPS:
-            return np.full_like(i, -np.inf)
+            return np.full_like(log_i, -np.inf)
         a, b, c = self.a, self.b, self.c
         if c == 1.0:
             # no log-exp round trip, so the Gamma special case is bit-exact
             power = i / b
-            overflow = np.zeros(np.shape(i), dtype=bool)
+            overflow = None
         else:
-            t = c * (np.log(i) - math.log(b))
-            power = np.exp(np.clip(t, _EXP_LO, _EXP_HI))
-            overflow = t > _EXP_HI
-        out = (
-            math.log1p(-self.omega)
-            + math.log(c)
-            + (a * c - 1.0) * np.log(i)
-            - a * c * math.log(b)
-            - power
-            - sp.gammaln(a)
-        )
-        return np.where(overflow, -np.inf, out)
+            power = np.subtract(log_i, math.log(b))
+            power *= c
+            overflow = power > _EXP_HI
+            np.exp(np.clip(power, _EXP_LO, _EXP_HI, out=power), out=power)
+        out = np.multiply(log_i, a * c - 1.0)
+        out += math.log1p(-self.omega) + math.log(c)
+        out -= a * c * math.log(b)
+        out -= power
+        out -= sp.gammaln(a)
+        if overflow is not None:
+            out[overflow] = -np.inf
+        return out
 
     def cdf(self, i):
         arr = _as_positive_array(i, allow_zero=True)
@@ -275,19 +308,18 @@ class EgParams(_Mixture):
         """The same distribution as a power-shape-one EggParams."""
         return EggParams(self.omega, self.lam, self.alpha, self.beta, 1.0)
 
-    def _second_log_pdf(self, i):
+    def _second_log_pdf(self, i, log_i):
         if 1.0 - self.omega < WEIGHT_EPS:
-            return np.full_like(i, -np.inf)
+            return np.full_like(log_i, -np.inf)
         al, be = self.alpha, self.beta
         # term order mirrors the power-shape-one GG path so the two variants
         # agree to the last bit
-        return (
-            math.log1p(-self.omega)
-            + (al - 1.0) * np.log(i)
-            - al * math.log(be)
-            - i / be
-            - sp.gammaln(al)
-        )
+        out = np.multiply(log_i, al - 1.0)
+        out += math.log1p(-self.omega)
+        out -= al * math.log(be)
+        out -= i / be
+        out -= sp.gammaln(al)
+        return out
 
     def cdf(self, i):
         arr = _as_positive_array(i, allow_zero=True)
@@ -343,16 +375,17 @@ class ExpLognormalParams(_Mixture):
         _validate_weight(self.omega)
         _validate_positive(lam=self.lam, sigma2=self.sigma2)
 
-    def _second_log_pdf(self, i):
+    def _second_log_pdf(self, i, log_i):
         if 1.0 - self.omega < WEIGHT_EPS:
-            return np.full_like(i, -np.inf)
+            return np.full_like(log_i, -np.inf)
         s2 = self.sigma2
-        return (
-            math.log1p(-self.omega)
-            - np.log(i)
-            - 0.5 * math.log(2.0 * math.pi * s2)
-            - (np.log(i) - self.mu) ** 2 / (2.0 * s2)
-        )
+        out = np.subtract(math.log1p(-self.omega), log_i)
+        out -= 0.5 * math.log(2.0 * math.pi * s2)
+        z = np.subtract(log_i, self.mu)
+        z *= z
+        z /= 2.0 * s2
+        out -= z
+        return out
 
     def cdf(self, i):
         arr = _as_positive_array(i, allow_zero=True)

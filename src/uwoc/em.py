@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
-from scipy import optimize
 from scipy import special as sp
 
 from .distributions import (
@@ -24,7 +23,7 @@ from .distributions import (
     EgParams,
     ExpLognormalParams,
     MixtureModel,
-    WEIGHT_EPS,
+    _log_mix,
 )
 from .errors import DataError, DegenerateComponentError, FitFailureError
 
@@ -145,23 +144,16 @@ def log_likelihood(samples, model: MixtureModel):
     return float(np.sum(model.log_pdf(arr)))
 
 
-def _resp_and_loglik(arr, params):
+def _resp_and_loglik(arr, log_i, params):
     """Responsibilities and observed-data log-likelihood in one density pass."""
-    log_exp, log_second = params.component_log_pdfs(arr)
-    log_mix = np.logaddexp(log_exp, log_second)
-    if params.omega < WEIGHT_EPS:
-        resp = np.zeros(arr.size)
-    elif 1.0 - params.omega < WEIGHT_EPS:
-        resp = np.ones(arr.size)
-    else:
-        resp = np.exp(log_exp - log_mix)
+    log_mix, resp = _log_mix(params.omega, *params.component_log_pdfs(arr, log_i=log_i))
     return resp, float(log_mix.sum())
 
 
 def e_step(samples, params: MixtureModel):
     """Posterior probability gamma_i that each sample came from the exponential lobe."""
     arr = validate_samples(samples)
-    return _resp_and_loglik(arr, params)[0]
+    return _resp_and_loglik(arr, np.log(arr), params)[0]
 
 
 def update_omega(responsibilities):
@@ -189,7 +181,7 @@ def m_step_exp(samples, responsibilities, literal=False):
     return float(np.dot(resp, arr) / denom)
 
 
-def m_step_gg(samples, responsibilities, c_hint=None):
+def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
     """Weighted Generalized Gamma ML update, returned as (a, b, c).
 
     Maximizes Q = sum_i w_i ln g(I_i; a, b, c) with w_i = 1 - gamma_i.  For a
@@ -201,18 +193,19 @@ def m_step_gg(samples, responsibilities, c_hint=None):
     step from it ascends, it starts from the best point of a coarse ln c scan
     over the admissible range instead.  Where the maximum lies at a c whose
     scale b would over- or underflow, the best point evaluated with a finite
-    b is returned.
+    b is returned.  ``log_i`` is ln I of samples the caller has already
+    validated; passing it skips the check and the logarithm.
     """
-    arr = validate_samples(samples)
+    if log_i is None:
+        log_i = np.log(validate_samples(samples))
     weights = 1.0 - np.asarray(responsibilities, dtype=float)
     w_total = float(weights.sum())
-    if w_total <= _MASS_EPS * arr.size:
+    if w_total <= _MASS_EPS * log_i.size:
         raise DegenerateComponentError("second component has no responsibility mass")
     # centred on lbar, the sums give R_c - lbar and ln(S_c/W) - c lbar directly;
     # arrays are updated in place, as fresh 100k-sample buffers cost page faults
-    x = np.log(arr)
-    lbar = float(np.dot(weights, x) / w_total)
-    x -= lbar
+    lbar = float(np.dot(weights, log_i) / w_total)
+    x = np.subtract(log_i, lbar)
     x2 = x * x
     with np.errstate(divide="ignore"):
         log_w = np.log(weights, out=weights)
@@ -309,19 +302,6 @@ def _newton_ascent(point, current):
     return current, True
 
 
-def _gg_expected_loglik(log_i, weights, a, log_theta, c):
-    """sum_i w_i ln g(I_i; a, theta^{1/c}, c), the Q contribution of the GG lobe."""
-    power = c * log_i
-    power -= log_theta
-    np.minimum(power, 700.0, out=power)
-    np.exp(power, out=power)
-    return float(
-        weights.sum() * (math.log(c) - a * log_theta - sp.gammaln(a))
-        + (a * c - 1.0) * np.dot(weights, log_i)
-        - np.dot(weights, power)
-    )
-
-
 def _solve_gamma_shape(spread):
     """Shape a with ln a - digamma(a) = spread (> 0), the weighted Gamma ML equation."""
     if spread <= 0.0:
@@ -341,33 +321,32 @@ def _solve_gamma_shape(spread):
         if math.log(hi) - sp.digamma(hi) - spread <= 0.0:
             break
         hi *= 4.0
+    from scipy import optimize  # imported here, as in special.py, to keep it off `import uwoc`
+
     return float(optimize.brentq(
         lambda x: math.log(x) - sp.digamma(x) - spread, lo, hi, xtol=1e-300, rtol=1e-13
     ))
 
 
-def _m_step_gamma(samples, responsibilities):
+def _m_step_gamma(samples, log_i, responsibilities):
     """Weighted Gamma ML update (shape via the digamma equation, scale closed form)."""
-    arr = validate_samples(samples)
-    weights = 1.0 - np.asarray(responsibilities, dtype=float)
+    weights = 1.0 - responsibilities
     w_total = float(weights.sum())
-    if w_total <= _MASS_EPS * arr.size:
+    if w_total <= _MASS_EPS * samples.size:
         raise DegenerateComponentError("second component has no responsibility mass")
-    mean = float(np.dot(weights, arr) / w_total)
-    mean_log = float(np.dot(weights, np.log(arr)) / w_total)
+    mean = float(np.dot(weights, samples) / w_total)
+    mean_log = float(np.dot(weights, log_i) / w_total)
     spread = math.log(mean) - mean_log
     alpha = _solve_gamma_shape(spread)
     return alpha, mean / alpha
 
 
-def _m_step_lognormal(samples, responsibilities):
+def _m_step_lognormal(log_i, responsibilities):
     """Weighted ML update of the Lognormal lobe: mean/variance of ln I."""
-    arr = validate_samples(samples)
-    weights = 1.0 - np.asarray(responsibilities, dtype=float)
+    weights = 1.0 - responsibilities
     w_total = float(weights.sum())
-    if w_total <= _MASS_EPS * arr.size:
+    if w_total <= _MASS_EPS * log_i.size:
         raise DegenerateComponentError("second component has no responsibility mass")
-    log_i = np.log(arr)
     mu = float(np.dot(weights, log_i) / w_total)
     sigma2 = float(np.dot(weights, (log_i - mu) ** 2) / w_total)
     if sigma2 <= 0.0:
@@ -454,40 +433,49 @@ def _param_vector(params):
 # Driver
 # ---------------------------------------------------------------------------
 
-def _gg_update(samples, resp, params: EggParams):
+def _gg_update(samples, log_i, resp, params: EggParams):
     """GG lobe M-step, kept only when it does not lower the lobe's Q.
 
     The profile Newton ascent starts at the previous c; comparing the lobe's
     expected log-likelihood directly guards the monotone trace against
     rounding in the closed-form profile.
     """
-    log_i = np.log(samples)
     weights = 1.0 - resp
+    w_total = float(weights.sum())
+    w_log_i = float(np.dot(weights, log_i))
+    work = np.empty_like(log_i)
 
     def q_of(a, b, c):
-        return _gg_expected_loglik(log_i, weights, a, c * math.log(b), c)
+        """sum_i w_i ln g(I_i; a, b, c), the Q contribution of the GG lobe."""
+        log_theta = c * math.log(b)
+        power = np.multiply(log_i, c, out=work)
+        power -= log_theta
+        np.minimum(power, 700.0, out=power)
+        np.exp(power, out=power)
+        return (w_total * (math.log(c) - a * log_theta - sp.gammaln(a))
+                + (a * c - 1.0) * w_log_i - float(np.dot(weights, power)))
 
-    a, b, c = m_step_gg(samples, resp, c_hint=params.c)
+    a, b, c = m_step_gg(samples, resp, c_hint=params.c, log_i=log_i)
     if q_of(a, b, c) >= q_of(params.a, params.b, params.c):
         return replace(params, a=a, b=b, c=c)
     return params
 
 
-def _second_lobe_update(samples, resp, params, variant):
+def _second_lobe_update(samples, log_i, resp, params, variant):
     """M-step of the non-exponential lobe; returns an updated params object."""
     if variant == "egg":
-        return _gg_update(samples, resp, params)
+        return _gg_update(samples, log_i, resp, params)
     if variant == "eg":
-        alpha, beta = _m_step_gamma(samples, resp)
+        alpha, beta = _m_step_gamma(samples, log_i, resp)
         return replace(params, alpha=alpha, beta=beta)
-    mu, sigma2 = _m_step_lognormal(samples, resp)
+    mu, sigma2 = _m_step_lognormal(log_i, resp)
     return replace(params, mu=mu, sigma2=sigma2)
 
 
-def _em_once(samples, variant, cfg: EmConfig, params):
-    """One EM run from the given initial parameters."""
+def _em_once(samples, log_i, variant, cfg: EmConfig, params):
+    """One EM run from the given initial parameters; ``log_i`` is ln of the samples."""
     literal = cfg.lambda_update == "literal"
-    resp, ll = _resp_and_loglik(samples, params)
+    resp, ll = _resp_and_loglik(samples, log_i, params)
     trace = [ll]
     converged = False
     iterations = 0
@@ -507,11 +495,11 @@ def _em_once(samples, variant, cfg: EmConfig, params):
         candidate = replace(candidate, omega=omega)
         # second lobe (per-component Q acceptance keeps this an ascent step)
         try:
-            candidate = _second_lobe_update(samples, resp, candidate, variant)
+            candidate = _second_lobe_update(samples, log_i, resp, candidate, variant)
         except DegenerateComponentError:
             pass
 
-        new_resp, ll = _resp_and_loglik(samples, candidate)
+        new_resp, ll = _resp_and_loglik(samples, log_i, candidate)
         if not literal and ll < prev_ll - ASCENT_SLACK:
             # should not happen with per-component acceptance; stop cleanly,
             # keeping the last accepted parameters, and report no convergence
@@ -538,6 +526,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     if variant not in ("egg", "eg", "explognormal"):
         raise ValueError(f"unknown variant {variant!r}")
     arr = validate_samples(samples)
+    log_i = np.log(arr)  # shared by every E- and M-step of every restart
     if arr.size < 100:
         warnings.warn(
             f"only {arr.size} samples; mixture estimates will be unstable",
@@ -552,7 +541,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
         init = base_init if k == 0 else _perturb(base_init, rng)
         try:
-            params, trace, iterations, converged, resp = _em_once(arr, variant, cfg, init)
+            params, trace, iterations, converged, resp = _em_once(arr, log_i, variant, cfg, init)
         except DegenerateComponentError as exc:
             diagnostics.append(f"restart {k}: {exc}")
             continue

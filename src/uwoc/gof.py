@@ -16,7 +16,6 @@ from .errors import HistogramError, UndefinedScoreError
 
 __all__ = [
     "Histogram",
-    "empirical_cdf",
     "mse_cdf",
     "build_histogram",
     "r_square",
@@ -59,33 +58,6 @@ class Histogram:
     @property
     def centers(self):
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    def rows(self):
-        """(edge_lo, edge_hi, density, count) tuples for CSV export."""
-        return list(
-            zip(self.bin_edges[:-1], self.bin_edges[1:], self.densities, self.counts)
-        )
-
-    def to_csv(self):
-        """CSV text with header edge_lo,edge_hi,density,count."""
-        lines = ["edge_lo,edge_hi,density,count"]
-        for lo, hi, density, count in self.rows():
-            lines.append(f"{lo:.9g},{hi:.9g},{density:.9e},{int(count)}")
-        return "\n".join(lines) + "\n"
-
-
-def empirical_cdf(samples):
-    """Step function x -> (#samples <= x) / n, evaluable on scalars or arrays."""
-    arr = np.sort(np.asarray(samples, dtype=float).ravel())
-    if arr.size == 0:
-        raise ValueError("need at least one sample")
-    n = arr.size
-
-    def cdf(x):
-        out = np.searchsorted(arr, np.asarray(x, dtype=float), side="right") / n
-        return float(out) if np.ndim(x) == 0 else out
-
-    return cdf
 
 
 def mse_cdf(samples, model: MixtureModel):

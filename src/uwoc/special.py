@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
-from scipy import optimize
 from scipy import special as sp
+
+# scipy.integrate and scipy.optimize are imported inside the functions that use
+# them: importing uwoc, and each CLI command that needs neither, skips them
 
 from .errors import ConvergenceError
 
@@ -120,6 +121,8 @@ def adaptive_quad(f, lo, hi, cfg: QuadratureConfig = DEFAULT_QUAD, points=None):
         pts = [p for p in points if lo < p < hi]
         if pts:
             kwargs["points"] = sorted(pts)
+    from scipy import integrate
+
     out = integrate.quad(f, lo, hi, **kwargs)
     value, err = out[0], out[1]
     if err > max(cfg.abs_tol, cfg.rel_tol * abs(value)) * 10.0:
@@ -218,6 +221,8 @@ def _contour_abscissa(spec: FoxHSpec, log_z: float) -> float:
     The kernel magnitude diverges at both pole walls, so the minimum is
     interior to the strip.
     """
+    from scipy import optimize
+
     lo, hi = spec.contour_lo, spec.contour_hi
 
     def height(c):
@@ -257,6 +262,8 @@ def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
             "Mellin-Barnes integral does not decay along vertical contours "
             f"(decay rate {spec.decay_rate}); this parameter family is unsupported"
         )
+    from scipy import integrate
+
     c0 = _contour_abscissa(spec, log_z)
 
     def integrand(t):

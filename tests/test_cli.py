@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -22,6 +25,18 @@ def sample_file(tmp_path):
     assert run(["synth", "--params", ROW1, "--n", "100000", "--seed", "3",
                 "--output", str(path)]) == 0
     return path
+
+
+class TestImport:
+    def test_cli_import_leaves_out_integrate_and_optimize(self):
+        # only quadrature, Fox H and the EM fit need them; they import them on use
+        code = ("import sys, uwoc.cli; "
+                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                              check=True, timeout=120)
+        assert done.stdout.strip() == "[]"
 
 
 class TestSynth:

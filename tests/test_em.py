@@ -9,7 +9,7 @@ from scipy.optimize import brentq
 from scipy.special import digamma, gammaln, logsumexp
 
 import uwoc.em as em_module
-from uwoc.distributions import EggParams
+from uwoc.distributions import WEIGHT_EPS, EggParams
 from uwoc.em import (
     EmConfig,
     e_step,
@@ -20,7 +20,7 @@ from uwoc.em import (
     update_omega,
 )
 from uwoc.errors import DataError, DegenerateComponentError
-from uwoc.presets import condition
+from uwoc.presets import ALL_CONDITIONS, condition
 
 ROW1 = condition("2.4lpm-0.05C").egg
 
@@ -76,6 +76,68 @@ class TestEStep:
         with pytest.raises(DataError) as err:
             e_step(np.array([1.0, -2.0, 3.0]), ROW1)
         assert err.value.index == 1
+
+
+def reference_e_step(samples, model):
+    """Mixture log density and responsibilities by np.logaddexp, lobe by lobe.
+
+    A lobe whose weight is below WEIGHT_EPS is absent; the GG lobe is -inf
+    where c ln(i/b) > 709, where (i/b)^c would overflow.
+    """
+    w, lam, a, b, c = model.omega, model.lam, model.a, model.b, model.c
+    log_i = np.log(samples)
+    log_exp = np.full(samples.shape, -np.inf)
+    if w >= WEIGHT_EPS:
+        log_exp = math.log(w) - math.log(lam) - samples / lam
+    log_gg = np.full(samples.shape, -np.inf)
+    if 1.0 - w >= WEIGHT_EPS:
+        t = c * (log_i - math.log(b))
+        log_gg = (math.log1p(-w) + math.log(c) + (a * c - 1.0) * log_i - a * c * math.log(b)
+                  - np.exp(np.minimum(t, 709.0)) - gammaln(a))
+        log_gg[t > 709.0] = -np.inf
+    log_mix = np.logaddexp(log_exp, log_gg)
+    if w < WEIGHT_EPS:
+        resp = np.zeros(samples.size)
+    elif 1.0 - w < WEIGHT_EPS:
+        resp = np.ones(samples.size)
+    else:
+        resp = np.exp(log_exp - log_mix)
+    return log_mix, resp
+
+
+def oracle_cases():
+    """(label, model, samples) over the 18 rows, with omega as given, 0 and 1.
+
+    Each sample set ends in two irradiances where c ln(i/b) is 800 and 1000,
+    which send the GG lobe down its overflow branch.
+    """
+    for k, row in enumerate(ALL_CONDITIONS):
+        model = row.egg
+        samples = model.sample(np.random.default_rng(k), 2000)
+        samples = np.append(samples, model.b * np.exp(np.array([800.0, 1000.0]) / model.c))
+        for omega in (model.omega, 0.0, 1.0):
+            yield f"{row.label}/omega={omega}", replace(model, omega=omega), samples
+
+
+class TestEStepOracle:
+    def test_responsibilities_and_loglik(self):
+        for label, model, samples in oracle_cases():
+            log_mix, ref_resp = reference_e_step(samples, model)
+            resp, ll = em_module._resp_and_loglik(samples, np.log(samples), model)
+            np.testing.assert_allclose(resp, ref_resp, rtol=0.0, atol=1e-12, err_msg=label)
+            np.testing.assert_allclose(ll, log_mix.sum(), rtol=1e-12, err_msg=label)
+            np.testing.assert_array_equal(e_step(samples, model), resp, err_msg=label)
+            assert resp[-1] == (1.0 if model.omega >= WEIGHT_EPS else 0.0), label  # overflow
+
+    def test_log_pdf_and_pdf(self):
+        for row in ALL_CONDITIONS:
+            model = row.egg
+            samples = model.sample(np.random.default_rng(7), 2000)
+            ref = reference_e_step(samples, model)[0]
+            np.testing.assert_allclose(model.log_pdf(samples), ref, rtol=1e-14, err_msg=row.label)
+            np.testing.assert_allclose(model.pdf(samples), np.exp(ref), rtol=1e-14, err_msg=row.label)
+            assert model.log_pdf(float(samples[0])) == model.log_pdf(samples)[0]
+            assert isinstance(model.pdf(float(samples[0])), float)
 
 
 class TestMStepGG:
@@ -327,8 +389,8 @@ class TestFit:
         accepted = []
         update = em_module._second_lobe_update
 
-        def dropping_update(samples, resp, params, variant):
-            new = update(samples, resp, params, variant)
+        def dropping_update(samples, log_i, resp, params, variant):
+            new = update(samples, log_i, resp, params, variant)
             if len(accepted) == 3:
                 return replace(new, c=3.0 * new.c)  # lowers the likelihood once
             accepted.append(new)

@@ -5,22 +5,10 @@ import pytest
 
 from uwoc.distributions import EggParams
 from uwoc.errors import HistogramError, UndefinedScoreError
-from uwoc.gof import Histogram, build_histogram, empirical_cdf, mse_cdf, r_square
+from uwoc.gof import Histogram, build_histogram, mse_cdf, r_square
 from uwoc.presets import condition
 
 ROW1 = condition("2.4lpm-0.05C").egg
-
-
-class TestEmpiricalCdf:
-    def test_examples(self):
-        cdf = empirical_cdf([1.0, 2.0, 3.0])
-        assert cdf(2.0) == pytest.approx(2.0 / 3.0)
-        assert cdf(0.5) == 0.0
-        assert cdf(10.0) == 1.0
-
-    def test_vectorized(self):
-        cdf = empirical_cdf([1.0, 2.0])
-        assert np.allclose(cdf(np.array([0.0, 1.0, 1.5, 2.5])), [0.0, 0.5, 0.5, 1.0])
 
 
 class TestMseCdf:
@@ -75,14 +63,6 @@ class TestBuildHistogram:
     def test_invalid_construction(self):
         with pytest.raises(HistogramError):
             Histogram(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0]), np.array([1, 1]))
-
-    def test_csv_export(self):
-        hist = build_histogram([0.0, 0.4, 0.6, 1.0], bins=2)
-        text = hist.to_csv()
-        lines = text.splitlines()
-        assert lines[0] == "edge_lo,edge_hi,density,count"
-        assert len(lines) == 3
-        assert lines[1].endswith(",2")
 
 
 class TestRSquare:
