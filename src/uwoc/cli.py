@@ -213,6 +213,7 @@ def cmd_fit(args):
         loglik=report.loglik,
         iterations=report.iterations,
         converged=report.converged,
+        diagnostics=report.diagnostics,
         gof={
             "mse": mse_cdf(samples, report.model),
             "r2": r_square(hist, report.model),

@@ -5,14 +5,15 @@ weighted maximum-likelihood updates of the component parameters.  The
 Generalized Gamma M-step is derived directly from the expected complete-data
 log-likelihood: with theta = b^c, the inner Gamma ML eliminates the shape a
 and scale theta, and a warm-started Newton ascent of the resulting profile
-likelihood in ln c finds the power shape.
+likelihood in ln c finds the power shape.  SQUAREM (Varadhan & Roland, Scand.
+J. Stat. 35:335, 2008) accelerates the EM maps of every variant.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
@@ -59,6 +60,9 @@ _NEWTON_ITERS = 100
 _DQ_TOL = 1e-13
 # largest |ln b| that m_step_gg returns
 _LOG_B_MAX = 700.0
+# Gamma shape equation: relative step at which a counts as solved, iteration cap
+_SHAPE_RTOL = 1e-15
+_SHAPE_ITERS = 200
 
 
 @dataclass(frozen=True)
@@ -69,10 +73,8 @@ class EmConfig:
     ``init_strategy`` is one of ``quantile_split`` (default: the exponential
     lobe seeds from the lowest-intensity quintile, matching its physical role
     as the blockage component), ``moments``, or ``user_supplied`` (requires
-    ``init_params``).  ``lambda_update='literal'`` reproduces a published
-    variant of the exponential-scale update that divides by the sum of
-    intensities instead of the responsibility mass; it breaks the likelihood
-    ascent guarantee and exists for comparison only.
+    ``init_params``).  ``max_iters`` caps the EM maps (M-steps) of one
+    restart.
     """
 
     epsilon: float = 1e-6
@@ -81,7 +83,6 @@ class EmConfig:
     init_strategy: str = "quantile_split"
     seed: int = 0
     init_params: Optional[MixtureModel] = None
-    lambda_update: str = "qmax"
 
     def __post_init__(self):
         if self.epsilon <= 0:
@@ -92,13 +93,18 @@ class EmConfig:
             raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
         if self.init_strategy == "user_supplied" and self.init_params is None:
             raise ValueError("user_supplied initialization requires init_params")
-        if self.lambda_update not in ("qmax", "literal"):
-            raise ValueError("lambda_update must be 'qmax' or 'literal'")
 
 
 @dataclass
 class FitReport:
-    """Result of one EM fit: the selected model plus convergence diagnostics."""
+    """Result of one EM fit: the selected model plus convergence diagnostics.
+
+    ``iterations`` counts the EM maps (M-steps) of the selected restart and
+    ``loglik_trace`` holds the log-likelihood of each point it accepted.
+    ``diagnostics`` has one entry per restart: its EM maps, extrapolations
+    accepted and rejected, convergence flag and final log-likelihood, or the
+    error that ended it.
+    """
 
     model: MixtureModel
     loglik_trace: list[float]
@@ -107,6 +113,7 @@ class FitReport:
     responsibilities_summary: dict
     scintillation_index: float
     restart_index: int = 0
+    diagnostics: list[dict] = field(default_factory=list)
 
     @property
     def loglik(self):
@@ -120,6 +127,7 @@ class FitReport:
             converged=self.converged,
             scintillation_index=self.scintillation_index,
             responsibilities_summary=self.responsibilities_summary,
+            diagnostics=self.diagnostics,
         )
         return out
 
@@ -164,21 +172,26 @@ def update_omega(responsibilities):
     return float(resp.mean())
 
 
-def m_step_exp(samples, responsibilities, literal=False):
+def m_step_exp(samples, responsibilities):
     """Weighted ML update of the exponential scale.
 
     The maximizer of the expected complete-data log-likelihood divides the
-    responsibility-weighted intensity sum by the responsibility mass;
-    ``literal=True`` divides by the plain intensity sum instead (comparison
-    mode, not an ascent step).
+    responsibility-weighted intensity sum by the responsibility mass.
     """
-    arr = validate_samples(samples)
-    resp = np.asarray(responsibilities, dtype=float)
+    return _exp_scale(validate_samples(samples), np.asarray(responsibilities, dtype=float))
+
+
+def _exp_scale(samples, resp):
+    """m_step_exp on samples the caller has already validated."""
     mass = resp.sum()
-    if mass <= _MASS_EPS * arr.size:
+    if mass <= _MASS_EPS * samples.size:
         raise DegenerateComponentError("exponential component has no responsibility mass")
-    denom = arr.sum() if literal else mass
-    return float(np.dot(resp, arr) / denom)
+    return _dot(resp, samples) / mass
+
+
+def _dot(x, y):
+    """sum_i x_i y_i, summed in an order that does not depend on the BLAS thread count."""
+    return float(np.einsum("i,i->", x, y))
 
 
 def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
@@ -204,7 +217,7 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
         raise DegenerateComponentError("second component has no responsibility mass")
     # centred on lbar, the sums give R_c - lbar and ln(S_c/W) - c lbar directly;
     # arrays are updated in place, as fresh 100k-sample buffers cost page faults
-    lbar = float(np.dot(weights, log_i) / w_total)
+    lbar = _dot(weights, log_i) / w_total
     x = np.subtract(log_i, lbar)
     x2 = x * x
     with np.errstate(divide="ignore"):
@@ -222,14 +235,14 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
         t -= m
         np.exp(t, out=t)
         s = float(t.sum())
-        mean = float(np.dot(t, x)) / s  # R_c - lbar, R_c = T_c / S_c
-        var = float(np.dot(t, x2)) / s - mean * mean  # U_c / S_c - R_c^2
+        mean = _dot(t, x) / s  # R_c - lbar, R_c = T_c / S_c
+        var = _dot(t, x2) / s - mean * mean  # U_c / S_c - R_c^2
         spread = m + math.log(s) - log_w_total  # ln(S_c / W) - c lbar
         if not spread > 0.0:
             return None
         a = _solve_gamma_shape(spread)
         q = u - lbar - a * spread + a * math.log(a) - a - sp.gammaln(a)
-        da_dc = mean / (1.0 / a - sp.polygamma(1, a))
+        da_dc = mean / (1.0 / a - _trigamma(a))
         dq = 1.0 - a * c * mean
         d2q = -a * c * mean - c * c * (mean * da_dc + a * var)
         visited.append(_ProfilePoint(u, q, dq, d2q, a, lbar + (spread - math.log(a)) / c))
@@ -302,14 +315,24 @@ def _newton_ascent(point, current):
     return current, True
 
 
+def _trigamma(a):
+    """psi'(a): the ufunc behind sp.polygamma(1, a), without its Python wrapper."""
+    return sp.zeta(2.0, a)
+
+
 def _solve_gamma_shape(spread):
-    """Shape a with ln a - digamma(a) = spread (> 0), the weighted Gamma ML equation."""
+    """Shape a with ln a - digamma(a) = spread (> 0), the weighted Gamma ML equation.
+
+    ln a - psi(a) decreases from +inf to 0 and is convex.  From Minka's
+    closed-form start a bracket is grown until it holds the root; Newton steps
+    then shrink it, with a bisection in ln a wherever a step leaves the
+    bracket or fails to halve the step before it.  Near the root of a large a
+    rounding makes ln a - psi(a) a staircase, which only the bisection pins.
+    """
     if spread <= 0.0:
         raise DegenerateComponentError("zero spread in the Gamma shape equation")
     if spread < 1e-12:
         return 0.5 / spread  # ln a - psi(a) = 1/(2a) + O(1/a^2)
-    # Minka's closed-form start, then a safeguarded bracketed polish;
-    # ln a - psi(a) decreases from +inf to 0, so grow hi / shrink lo as needed
     a = (3.0 - spread + math.sqrt((spread - 3.0) ** 2 + 24.0 * spread)) / (12.0 * spread)
     a = min(max(a, 1e-12), 1e14)
     lo, hi = a, a
@@ -321,11 +344,23 @@ def _solve_gamma_shape(spread):
         if math.log(hi) - sp.digamma(hi) - spread <= 0.0:
             break
         hi *= 4.0
-    from scipy import optimize  # imported here, as in special.py, to keep it off `import uwoc`
-
-    return float(optimize.brentq(
-        lambda x: math.log(x) - sp.digamma(x) - spread, lo, hi, xtol=1e-300, rtol=1e-13
-    ))
+    last_step = math.inf
+    for _ in range(_SHAPE_ITERS):
+        g = math.log(a) - sp.digamma(a) - spread
+        if g == 0.0:
+            return a
+        if g > 0.0:
+            lo = a
+        else:
+            hi = a
+        new = a - g / (1.0 / a - _trigamma(a))
+        if not lo < new < hi or abs(new - a) > 0.5 * last_step:
+            new = math.sqrt(lo * hi)
+        if abs(new - a) <= _SHAPE_RTOL * a:
+            return new
+        last_step = abs(new - a)
+        a = new
+    return a
 
 
 def _m_step_gamma(samples, log_i, responsibilities):
@@ -334,8 +369,8 @@ def _m_step_gamma(samples, log_i, responsibilities):
     w_total = float(weights.sum())
     if w_total <= _MASS_EPS * samples.size:
         raise DegenerateComponentError("second component has no responsibility mass")
-    mean = float(np.dot(weights, samples) / w_total)
-    mean_log = float(np.dot(weights, log_i) / w_total)
+    mean = _dot(weights, samples) / w_total
+    mean_log = _dot(weights, log_i) / w_total
     spread = math.log(mean) - mean_log
     alpha = _solve_gamma_shape(spread)
     return alpha, mean / alpha
@@ -347,8 +382,8 @@ def _m_step_lognormal(log_i, responsibilities):
     w_total = float(weights.sum())
     if w_total <= _MASS_EPS * log_i.size:
         raise DegenerateComponentError("second component has no responsibility mass")
-    mu = float(np.dot(weights, log_i) / w_total)
-    sigma2 = float(np.dot(weights, (log_i - mu) ** 2) / w_total)
+    mu = _dot(weights, log_i) / w_total
+    sigma2 = _dot(weights, (log_i - mu) ** 2) / w_total
     if sigma2 <= 0.0:
         raise DegenerateComponentError("zero log-variance in the Lognormal lobe")
     return mu, sigma2
@@ -429,6 +464,41 @@ def _param_vector(params):
     return np.array([params.mu, params.sigma2, params.lam, params.omega])
 
 
+def _squarem_point(theta0, theta1, theta2):
+    """SQUAREM's extrapolation from two successive EM maps, or None where undefined.
+
+    In unconstrained coordinates x (logit omega and ln of each positive
+    parameter; the Lognormal mu, first in its vector, as it is), with
+    r = x1 - x0, v = x2 - 2 x1 + x0 and the S3 step length alpha = -|r| / |v|
+    clamped to at most -1, the point is x0 - 2 alpha r + alpha^2 v; alpha = -1
+    gives theta2 itself.
+    """
+    k = 1 if isinstance(theta0, ExpLognormalParams) else 0
+
+    def free(params):
+        x = _param_vector(params)
+        with np.errstate(divide="ignore"):
+            x[k:] = np.log(x[k:])
+            x[-1] -= np.log1p(-params.omega)
+        return x
+
+    x0, x1, x2 = free(theta0), free(theta1), free(theta2)
+    r = x1 - x0
+    v = x2 - x1 - r
+    r_norm, v_norm = math.hypot(*r), math.hypot(*v)
+    if not (math.isfinite(r_norm) and math.isfinite(v_norm) and v_norm > 0.0):
+        return None
+    alpha = min(-r_norm / v_norm, -1.0)
+    x = x0 - 2.0 * alpha * r + alpha * alpha * v
+    with np.errstate(over="ignore"):
+        x[k:-1] = np.exp(x[k:-1])
+    x[-1] = sp.expit(x[-1])
+    try:
+        return type(theta2)(float(x[-1]), float(x[-2]), *map(float, x[:-2]))
+    except ValueError:
+        return None  # a parameter left the range of a double
+
+
 # ---------------------------------------------------------------------------
 # Driver
 # ---------------------------------------------------------------------------
@@ -442,7 +512,7 @@ def _gg_update(samples, log_i, resp, params: EggParams):
     """
     weights = 1.0 - resp
     w_total = float(weights.sum())
-    w_log_i = float(np.dot(weights, log_i))
+    w_log_i = _dot(weights, log_i)
     work = np.empty_like(log_i)
 
     def q_of(a, b, c):
@@ -453,7 +523,7 @@ def _gg_update(samples, log_i, resp, params: EggParams):
         np.minimum(power, 700.0, out=power)
         np.exp(power, out=power)
         return (w_total * (math.log(c) - a * log_theta - sp.gammaln(a))
-                + (a * c - 1.0) * w_log_i - float(np.dot(weights, power)))
+                + (a * c - 1.0) * w_log_i - _dot(weights, power))
 
     a, b, c = m_step_gg(samples, resp, c_hint=params.c, log_i=log_i)
     if q_of(a, b, c) >= q_of(params.a, params.b, params.c):
@@ -472,47 +542,78 @@ def _second_lobe_update(samples, log_i, resp, params, variant):
     return replace(params, mu=mu, sigma2=sigma2)
 
 
+def _em_map(samples, log_i, resp, params, variant):
+    """One EM map F: the M-steps from ``resp``, the responsibilities of ``params``."""
+    candidate = params
+    try:
+        candidate = replace(candidate, lam=_exp_scale(samples, resp))
+    except DegenerateComponentError:
+        pass  # lobe frozen; omega decides its weight
+    candidate = replace(candidate, omega=min(max(update_omega(resp), 0.0), 1.0))
+    try:
+        # per-component Q acceptance keeps this an ascent step
+        return _second_lobe_update(samples, log_i, resp, candidate, variant)
+    except DegenerateComponentError:
+        return candidate
+
+
 def _em_once(samples, log_i, variant, cfg: EmConfig, params):
-    """One EM run from the given initial parameters; ``log_i`` is ln of the samples."""
-    literal = cfg.lambda_update == "literal"
+    """One SQUAREM-accelerated EM run from ``params``; ``log_i`` is ln of the samples.
+
+    A cycle maps twice from the accepted point theta0, theta1 = F(theta0) and
+    theta2 = F(theta1), extrapolates from the three (_squarem_point) and maps
+    once from the extrapolated point; that theta3 replaces theta2 when its
+    log-likelihood is finite and no lower.  An extrapolated point with a
+    non-finite log-likelihood is rejected unmapped; a lobe degenerate there is
+    frozen by the map, as anywhere else.  The run converges when one map
+    from an accepted point moves the parameter vector by at most epsilon, and
+    stops unconverged at the last accepted point when such a map lowers the
+    likelihood.  Returns the parameters, their responsibilities, the
+    log-likelihood of each accepted point and the run's counts, in which
+    ``iterations`` counts EM maps.
+    """
     resp, ll = _resp_and_loglik(samples, log_i, params)
     trace = [ll]
-    converged = False
-    iterations = 0
+    run = {"iterations": 0, "extrapolations_accepted": 0, "extrapolations_rejected": 0,
+           "converged": False}
 
-    for iterations in range(1, cfg.max_iters + 1):
-        prev_vec = _param_vector(params)
-        prev_ll = trace[-1]
-
-        candidate = params
-        # exponential lobe and weight
-        try:
-            lam = m_step_exp(samples, resp, literal=literal)
-            candidate = replace(candidate, lam=lam)
-        except DegenerateComponentError:
-            pass  # lobe frozen; omega decides its weight
-        omega = min(max(update_omega(resp), 0.0), 1.0)
-        candidate = replace(candidate, omega=omega)
-        # second lobe (per-component Q acceptance keeps this an ascent step)
-        try:
-            candidate = _second_lobe_update(samples, log_i, resp, candidate, variant)
-        except DegenerateComponentError:
-            pass
-
-        new_resp, ll = _resp_and_loglik(samples, log_i, candidate)
-        if not literal and ll < prev_ll - ASCENT_SLACK:
+    def step(params, resp):
+        """One map from an accepted point: (params, resp, stop)."""
+        new = _em_map(samples, log_i, resp, params, variant)
+        new_resp, ll = _resp_and_loglik(samples, log_i, new)
+        if ll < trace[-1] - ASCENT_SLACK:
             # should not happen with per-component acceptance; stop cleanly,
             # keeping the last accepted parameters, and report no convergence
-            iterations -= 1
-            break
-
-        params, resp = candidate, new_resp
+            return params, resp, True
+        run["iterations"] += 1
         trace.append(ll)
-        if float(np.max(np.abs(_param_vector(params) - prev_vec))) <= cfg.epsilon:
-            converged = True
-            break
+        moved = float(np.max(np.abs(_param_vector(new) - _param_vector(params))))
+        run["converged"] = moved <= cfg.epsilon
+        return new, new_resp, run["converged"]
 
-    return params, trace, iterations, converged, resp
+    while run["iterations"] < cfg.max_iters:
+        thetas = [params]
+        for _ in range(2):
+            params, resp, stop = step(params, resp)
+            if stop or run["iterations"] == cfg.max_iters:
+                return params, resp, trace, run
+            thetas.append(params)
+        kept = False
+        prime = _squarem_point(*thetas)
+        if prime is not None:
+            prime_resp, prime_ll = _resp_and_loglik(samples, log_i, prime)
+            if math.isfinite(prime_ll):
+                new = _em_map(samples, log_i, prime_resp, prime, variant)
+                run["iterations"] += 1
+                new_resp, ll = _resp_and_loglik(samples, log_i, new)
+                kept = math.isfinite(ll) and ll >= trace[-1]
+        if kept:
+            params, resp = new, new_resp
+            trace.append(ll)
+            run["extrapolations_accepted"] += 1
+        else:
+            run["extrapolations_rejected"] += 1
+    return params, resp, trace, run
 
 
 def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
@@ -521,7 +622,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     Runs ``cfg.restarts`` independent EM chains (the first from the plain
     initialization, later ones from jittered copies), and returns the
     :class:`FitReport` with the highest final log-likelihood, ties broken by
-    the lowest restart index.
+    the lowest restart index, with every restart's diagnostics.
     """
     if variant not in ("egg", "eg", "explognormal"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -541,19 +642,20 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
         init = base_init if k == 0 else _perturb(base_init, rng)
         try:
-            params, trace, iterations, converged, resp = _em_once(arr, log_i, variant, cfg, init)
+            params, resp, trace, run = _em_once(arr, log_i, variant, cfg, init)
         except DegenerateComponentError as exc:
-            diagnostics.append(f"restart {k}: {exc}")
+            diagnostics.append({"restart": k, "error": str(exc)})
             continue
         final_ll = trace[-1]
         if not math.isfinite(final_ll):
-            diagnostics.append(f"restart {k}: non-finite log-likelihood")
+            diagnostics.append({"restart": k, "error": "non-finite log-likelihood"})
             continue
+        diagnostics.append({"restart": k, **run, "loglik": final_ll})
         report = FitReport(
             model=params,
             loglik_trace=trace,
-            iterations=iterations,
-            converged=converged,
+            iterations=run["iterations"],
+            converged=run["converged"],
             responsibilities_summary={
                 "mean": float(resp.mean()),
                 "min": float(resp.min()),
@@ -566,4 +668,5 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
             best = report
     if best is None:
         raise FitFailureError("every EM restart ended degenerate", diagnostics=diagnostics)
+    best.diagnostics = diagnostics
     return best

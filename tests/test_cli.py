@@ -38,6 +38,21 @@ class TestImport:
                               check=True, timeout=120)
         assert done.stdout.strip() == "[]"
 
+    def test_fit_leaves_out_optimize(self, tmp_path, sample_file):
+        # the Gamma shape equation is solved by a bracketed Newton iteration
+        code = ("import runpy, sys; sys.argv = sys.argv[1:]\n"
+                "try:\n    runpy.run_module('uwoc.cli', run_name='__main__')\n"
+                "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
+                "print('scipy.optimize' in sys.modules)")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__)))
+        env = {**os.environ, "PYTHONPATH": src}
+        argv = ["uwoc", "fit", "--input", str(sample_file), "--eps", "1e-3", "--restarts", "1",
+                "--output", str(tmp_path / "report.json")]
+        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
+                              text=True, check=True, timeout=300)
+        assert done.stdout.strip() == "False"
+        assert json.loads((tmp_path / "report.json").read_text())["converged"] is True
+
 
 class TestSynth:
     def test_deterministic_bytes(self, tmp_path):
@@ -77,6 +92,11 @@ class TestFit:
         assert payload["converged"] is True
         assert payload["gof"]["r2"] > 0.9
         assert len(payload["input_digest"]) == 64
+        (diag,) = payload["diagnostics"]  # one entry per restart
+        assert diag["restart"] == 0 and diag["converged"] is True
+        assert diag["iterations"] == payload["iterations"]
+        assert diag["loglik"] == payload["loglik"]
+        assert diag["extrapolations_accepted"] + diag["extrapolations_rejected"] >= 1
         # report survives a parse/re-serialize cycle byte-for-byte
         again = json.dumps(payload, indent=2, sort_keys=True) + "\n"
         assert again == report.read_text()

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -239,14 +242,23 @@ class TestMStepExp:
         resp = np.array([1.0, 1.0, 0.0, 0.0])
         assert m_step_exp(data, resp) == pytest.approx(1.5)
 
-    def test_literal_mode_denominator(self):
-        data = np.array([1.0, 2.0, 3.0])
-        resp = np.array([0.5, 0.5, 0.5])
-        assert m_step_exp(data, resp, literal=True) == pytest.approx(0.5)
-
     def test_degenerate(self):
         with pytest.raises(DegenerateComponentError):
             m_step_exp(np.array([1.0, 2.0]), np.zeros(2))
+
+    def test_validates_samples(self):
+        with pytest.raises(DataError):
+            m_step_exp(np.array([1.0, -2.0]), np.ones(2))
+
+
+class TestGammaShape:
+    def test_matches_brentq(self):
+        # ln a - psi(a) = spread by brentq in ln a, over a from ~1e-3 to 5e11
+        for spread in np.geomspace(1e-12, 1e3, 301):
+            log_a = brentq(lambda t: t - digamma(math.exp(t)) - spread, -33.0, 40.0, xtol=1e-14)
+            want = math.exp(log_a)
+            got = em_module._solve_gamma_shape(float(spread))
+            assert got == pytest.approx(want, rel=1e-13, abs=0.0), spread
 
 
 class TestUpdateOmega:
@@ -369,14 +381,6 @@ class TestFit:
         report = fit(data, "egg", cfg)
         assert report.converged
 
-    def test_literal_lambda_mode_differs(self):
-        rng = np.random.default_rng(13)
-        data = ROW1.sample(rng, 20_000)
-        qmax = fit(data, "egg", FAST).model
-        literal = fit(data, "egg", EmConfig(
-            epsilon=1e-3, max_iters=200, restarts=1, lambda_update="literal")).model
-        assert literal.lam != pytest.approx(qmax.lam, rel=1e-6)
-
     def test_responsibility_summary_bounds(self):
         rng = np.random.default_rng(19)
         data = ROW1.sample(rng, 20_000)
@@ -391,17 +395,89 @@ class TestFit:
 
         def dropping_update(samples, log_i, resp, params, variant):
             new = update(samples, log_i, resp, params, variant)
-            if len(accepted) == 3:
-                return replace(new, c=3.0 * new.c)  # lowers the likelihood once
+            # maps 1-2 are plain, 3 maps the extrapolated point (kept or not), 4 is
+            # plain from the point kept; map 5, plain from map 4, lowers the likelihood
+            if len(accepted) == 4:
+                return replace(new, c=3.0 * new.c)
             accepted.append(new)
             return new
 
         monkeypatch.setattr(em_module, "_second_lobe_update", dropping_update)
         report = fit(data, "egg", EmConfig(epsilon=1e-12, max_iters=50, restarts=1))
         assert report.converged is False
-        assert report.iterations == 3
+        assert report.iterations == 4
         assert report.model == accepted[-1]
         assert report.loglik == pytest.approx(log_likelihood(data, accepted[-1]), rel=1e-12)
+
+    def test_rejected_extrapolation_keeps_the_plain_point(self, monkeypatch):
+        data = ROW1.sample(np.random.default_rng(43), 5000)
+        cycles = []
+
+        def backwards(theta0, theta1, theta2):
+            cycles.append((theta0, theta2))
+            return theta0  # below theta2, and its map is theta1, also below theta2
+
+        monkeypatch.setattr(em_module, "_squarem_point", backwards)
+        report = fit(data, "egg", EmConfig(epsilon=1e-6, max_iters=60, restarts=1))
+        (diag,) = report.diagnostics
+        assert diag["extrapolations_accepted"] == 0
+        assert diag["extrapolations_rejected"] == len(cycles) >= 5
+        for (_, kept), (start, _) in zip(cycles, cycles[1:]):
+            assert start == kept  # each cycle starts from the plain theta2
+        assert np.all(np.diff(report.loglik_trace) >= 0.0)
+        assert len(report.loglik_trace) == 1 + 2 * len(cycles) + (report.iterations - 3 * len(cycles))
+
+    def test_default_fit_of_the_strong_row(self):
+        # CLI defaults (epsilon 1e-6, 3 restarts); per-restart log-likelihoods
+        # that plain, unaccelerated EM reaches on the same samples
+        plain = [-33023.81691557181, -33023.81691557176, -33023.81691557172]
+        data = condition("23.6lpm-0.22C").egg.sample(np.random.default_rng(1), 100_000)
+        report = fit(data, "egg", EmConfig())
+        assert report.iterations < 60
+        assert report.converged
+        assert np.all(np.diff(report.loglik_trace) >= -1e-9)
+        assert [d["restart"] for d in report.diagnostics] == [0, 1, 2]
+        for diag, ll in zip(report.diagnostics, plain):
+            assert diag["converged"], diag
+            assert diag["loglik"] >= ll - 1e-9 * abs(ll), diag
+        chosen = report.diagnostics[report.restart_index]
+        assert (chosen["loglik"], chosen["iterations"]) == (report.loglik, report.iterations)
+
+    def test_diagnostics_name_a_degenerate_restart(self, monkeypatch):
+        data = ROW1.sample(np.random.default_rng(47), 5000)
+        em_once = em_module._em_once
+        calls = []
+
+        def failing_second(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise DegenerateComponentError("no mass")
+            return em_once(*args)
+
+        monkeypatch.setattr(em_module, "_em_once", failing_second)
+        report = fit(data, "egg", EmConfig(epsilon=1e-3, restarts=3))
+        assert report.diagnostics[1] == {"restart": 1, "error": "no mass"}
+        for k in (0, 2):
+            diag = report.diagnostics[k]
+            assert set(diag) == {"restart", "iterations", "extrapolations_accepted",
+                                 "extrapolations_rejected", "converged", "loglik"}
+            assert diag["restart"] == k and diag["iterations"] >= 1
+
+    def test_same_floats_for_any_blas_thread_count(self):
+        code = ("import numpy as np; from uwoc.em import EmConfig, fit; "
+                "from uwoc.presets import condition; "
+                "data = condition('23.6lpm-0.22C').egg.sample(np.random.default_rng(3), 20_000); "
+                "rep = fit(data, 'egg', EmConfig(epsilon=1e-3, max_iters=20, restarts=1)); "
+                "print(rep.loglik_trace, rep.model.params_dict())")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(em_module.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True, timeout=300)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_rejects_bad_variant(self):
         with pytest.raises(ValueError):
