@@ -70,7 +70,8 @@ def _accumulate(link: LinkBudget, cfg: SimConfig, stat):
         delta = chunk_mean - mean
         total = n + size
         mean += delta * (size / total)
-        m2 += float(np.dot(centred, centred)) + delta * delta * n * size / total
+        # a fixed-order sum: np.dot's order depends on the BLAS thread count
+        m2 += float(np.einsum("i,i->", centred, centred)) + delta * delta * n * size / total
         n = total
     se = math.sqrt(m2 / n / n)
     return mean, se

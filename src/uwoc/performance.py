@@ -3,22 +3,20 @@
 Maps the irradiance mixture into the electrical-SNR domain for heterodyne
 (r = 1) and intensity-modulation/direct-detection (r = 2) receivers, and
 evaluates outage probability, average bit error rate, and ergodic capacity.
-Every metric has an exact route (incomplete-gamma or Fox H closed form), an
-independent adaptive-quadrature route, and a high-SNR asymptote in elementary
-functions.  The exact BER/capacity default to the quadrature route, the more
-robust choice for the very large power-shape values seen in fitted
-parameters, and return it when its own error bound certifies it.  Otherwise
-the Fox H closed form cross-checks the quadrature value, or replaces it when
-the quadrature fails to converge, with a warning either way.  Both routes
-can still be wrong together in the deep tail of a few fitted shapes (the
-``*-0lpm`` rows at high SNR); such values stay flagged by the cross-check
-warning.
+Outage comes from the incomplete-gamma closed form.  BER and capacity have
+one production route, a certified quadrature: each lobe's expectation is
+integrated in t = ln U around the peak of its concave log-integrand, the
+parts are summed in log space, and the value is returned only when the
+error bound of the total is at most ``CERTIFY_RTOL`` of it (else
+:class:`ConvergenceError`).  Values below the double range therefore come
+back certified as 0.0 or subnormal.  The paper's Fox H closed forms stay
+available as ``method='foxh'``, and every metric has a high-SNR asymptote in
+elementary functions.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Optional
@@ -55,15 +53,18 @@ __all__ = [
 # multiplicative SNR constant inside the capacity log
 CAPACITY_TAU = math.e / (2.0 * math.pi)
 
-# a quadrature value is returned as certified when its error bound is at most
-# this fraction of it; an uncertified value is cross-checked against the Fox H
-# closed form, which must match it this tightly or a warning is issued
-CROSSCHECK_RTOL = 1e-6
+# a quadrature value is returned only when the error bound of the metric's
+# total is at most this fraction of it; otherwise ConvergenceError is raised
+CERTIFY_RTOL = 1e-6
 
+# each lobe is integrated, scaled to peak at 1, between the points where its
+# log-integrand has fallen this far below its peak
+_DROP = 40.0
 _QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-8, max_subdivisions=400)
 _FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-10, max_subdivisions=64)
 
 _EXP_LO = -745.0
+_SQRT_PI = math.sqrt(math.pi)
 
 
 @dataclass(frozen=True)
@@ -282,136 +283,184 @@ def outage(link: LinkBudget):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature routes (independent of the closed forms)
+# Quadrature route (independent of the closed forms)
 # ---------------------------------------------------------------------------
 
-def _gamma_lobe_expectation(a, h_ln, scale_ln, power, cfg=_QUAD, feature_log_i=None):
-    """E[h_ln(scale_ln + power * ln U)] for U ~ Gamma(a, 1) by quadrature.
+def _ln_erfc_sqrt(s):
+    """ln erfc(sqrt(x)) at x = e^s, with its first two derivatives in s.
 
-    The integrand receives log-intensity so that tiny shapes (mass spread
-    over hundreds of decades of U) never underflow.  For a < 1 the
-    substitution w = u^a flattens the u^{a-1} endpoint singularity; for
-    a >= 1 the density is integrated in log space around its bulk.
-    ``feature_log_i`` marks a log-intensity where h_ln changes sharply
-    (e.g. an error-function transition) so the subdivision can find it.
+    ln erfc(y) = ln erfcx(y) - y^2 stays in range far beyond the point where
+    erfc itself underflows.
     """
-    feature_log_u = None
-    if feature_log_i is not None:
-        feature_log_u = (feature_log_i - scale_ln) / power
-
-    def ladder(center_log, lo, hi, spread):
-        # geometric split points straddling a transition whose width in the
-        # integration variable is not known a priori; without them the
-        # adaptive rule can sample only the flat zero region and stop early
-        pts = [math.exp(center_log + k) for k in spread if abs(center_log + k) < 700.0]
-        return [p_ for p_ in pts if lo < p_ < hi] or None
-
-    if a < 1.0:
-        w_hi = math.exp(a * math.log(50.0))
-        points = None
-        if feature_log_u is not None:
-            points = ladder(a * feature_log_u, 0.0, w_hi, (-7.0, -3.5, 0.0, 3.5, 7.0))
-
-        def integrand(w):
-            log_u = math.log(w) / a
-            damp = math.exp(-math.exp(log_u)) if log_u > -40.0 else 1.0
-            return damp * h_ln(scale_ln + power * log_u)
-
-        est = adaptive_quad(integrand, 0.0, w_hi, cfg, points=points)
-        norm = math.gamma(a + 1.0)
-        return Estimate(est / norm, est.error_bound / norm)
-
-    lg = sp.gammaln(a)
-    hi = a + 40.0 * math.sqrt(a) + 60.0
-    points = [a]
-    if feature_log_u is not None:
-        points += ladder(feature_log_u, 0.0, hi, (-6.0, -3.0, 0.0, 3.0, 6.0)) or []
-
-    def integrand(u):
-        if u <= 0.0:
-            return 0.0
-        log_u = math.log(u)
-        return math.exp((a - 1.0) * log_u - u - lg) * h_ln(scale_ln + power * log_u)
-
-    return adaptive_quad(integrand, 0.0, hi, cfg, points=points)
+    if s > 709.0:
+        return -math.inf, -math.inf, -math.inf
+    x = math.exp(s)
+    y = math.sqrt(x)
+    ex = float(sp.erfcx(y))
+    k = y / (_SQRT_PI * ex)
+    # 1/2 - x + k cancels for large x, where it is 1 - 1/(2x) + O(x^-2)
+    bend = 0.5 - x + k if x < 1e5 else 1.0 - 0.5 / x
+    return math.log(ex) - x, -k, -k * bend
 
 
-def _mixture_expectation(params: EggParams, h_ln, cfg=_QUAD, feature_log_i=None):
-    """E over the fading mixture of h_ln(ln I), by component-wise quadrature.
+def _ln_softplus(s):
+    """ln ln(1 + e^s), with its first two derivatives in s."""
+    if s < -36.0:
+        return s, 1.0, 0.0  # ln(1 + e^s) = e^s to double precision
+    if s > 36.0:
+        return math.log(s), 1.0 / s, -1.0 / (s * s)
+    e = math.exp(s)
+    soft = math.log1p(e)
+    sig = e / (1.0 + e)
+    d1 = sig / soft
+    return math.log(soft), d1, sig * (1.0 - sig) / soft - d1 * d1
 
-    The exponential lobe is integrated in log intensity, where both the
-    weight roll-off and any h_ln transition have order-one widths, with a
-    split point at ``feature_log_i`` when given.  The returned
-    :class:`Estimate` carries the weighted sum of the lobes' error bounds.
+
+def _argmax(ell, t):
+    """Maximum of a concave ``ell`` by Newton steps kept inside a bracket.
+
+    Returns t* and ell's value and second derivative there.
     """
-    total = bound = 0.0
-    if params.omega >= WEIGHT_EPS:
-        log_lam = math.log(params.lam)
+    lo, hi, step = -math.inf, math.inf, 1.0
+    for _ in range(200):
+        f, d1, d2 = ell(t)
+        if d1 > 0.0:
+            lo = t
+        elif d1 < 0.0:
+            hi = t
+        else:
+            break
+        nxt = t - d1 / d2 if d2 < 0.0 else math.nan
+        if not lo < nxt < hi:
+            if hi == math.inf:
+                nxt, step = lo + step, 2.0 * step
+            elif lo == -math.inf:
+                nxt, step = hi - step, 2.0 * step
+            else:
+                nxt = 0.5 * (lo + hi)
+        if abs(nxt - t) <= 1e-9 * (1.0 + abs(t)):
+            break
+        t = nxt
+    return t, f, d2
 
-        def exp_part(v):
-            # v = ln x for x ~ Exp(1); integrand x e^{-x} h(ln lam + ln x)
-            x = math.exp(v)
-            return math.exp(v - x) * h_ln(log_lam + v)
 
-        lo, hi = -50.0, 6.0
-        points = None
-        if feature_log_i is not None:
-            v_c = feature_log_i - log_lam
-            lo = min(lo, v_c - 50.0)
-            if lo < v_c < hi:
-                points = [v_c]
-        est = adaptive_quad(exp_part, lo, hi, cfg, points=points)
-        total += params.omega * est
-        bound += params.omega * est.error_bound
-    if 1.0 - params.omega >= WEIGHT_EPS:
-        est = _gamma_lobe_expectation(
-            params.a, h_ln, math.log(params.b), 1.0 / params.c, cfg, feature_log_i
+def _level_point(ell, t_star, target, step, direction):
+    """A point on one side of the peak where the concave ``ell`` is at most
+    ``target`` (and within one unit of it), with ell and its slope there."""
+    inner = t_star
+    for _ in range(100):
+        t = t_star + direction * step
+        f, d1, _ = ell(t)
+        if f <= target:
+            break
+        inner, step = t, 2.0 * step
+    # Newton steps from outside the level set stay outside for a concave ell
+    for _ in range(100):
+        if f >= target - 1.0:
+            break
+        nxt = t - (f - target) / d1
+        if not (min(inner, t) < nxt < max(inner, t)):
+            nxt = 0.5 * (inner + t)
+        g, g1, _ = ell(nxt)
+        if g > target:
+            inner = nxt
+        else:
+            t, f, d1 = nxt, g, g1
+    return t, f, d1
+
+
+def _lobe_expectation(a, s0, kappa, log_h):
+    """E[h(s0 + kappa ln U)] for U ~ Gamma(a, 1), as (log scale, value, bound).
+
+    The expectation is exp(log scale) * value, and bound bounds the error of
+    value.  With t = ln U the log-integrand L(t) = a t - e^t + ln h(s0 +
+    kappa t) - ln Gamma(a) is concave for the BER and capacity kernels.  It
+    is integrated as exp(L - L*) between the points where it has fallen
+    ``_DROP`` below its peak L*; concavity bounds each tail beyond by
+    exp(L - L*) / |L'| there.
+    """
+
+    def ell(t):
+        # L(t) + ln Gamma(a) and its first two derivatives
+        u = math.exp(t) if t < 709.0 else math.inf
+        h, h1, h2 = log_h(s0 + kappa * t)
+        return a * t - u + h, a - u + kappa * h1, kappa * kappa * h2 - u
+
+    t_star, f_star, d2 = _argmax(ell, math.log(a))
+    target = f_star - _DROP
+    step = math.sqrt(2.0 * _DROP / max(-d2, 1e-12))
+    t_lo, f_lo, slope_lo = _level_point(ell, t_star, target, step, -1.0)
+    t_hi, f_hi, slope_hi = _level_point(ell, t_star, target, step, 1.0)
+    tails = (math.exp(f_lo - f_star) / slope_lo if slope_lo > 0.0 else math.inf) + (
+        math.exp(f_hi - f_star) / -slope_hi if slope_hi < 0.0 else math.inf
+    )
+    try:
+        est = adaptive_quad(
+            lambda t: math.exp(ell(t)[0] - f_star), t_lo, t_hi, _QUAD, points=(t_star,)
         )
-        total += (1.0 - params.omega) * est
-        bound += (1.0 - params.omega) * est.error_bound
-    return Estimate(total, bound)
+        value, err = float(est), est.error_bound
+    except ConvergenceError as exc:
+        value, err = exc.estimate, exc.error_bound
+    return f_star - sp.gammaln(a), value, err + tails
 
 
-def avg_ber_quadrature(link: LinkBudget, modulation: Modulation, cfg=_QUAD):
+def _certified_expectation(link: LinkBudget, terms, log_h):
+    """sum_k w_k E[h(s_k + r ln I)] over the fading mixture, certified.
+
+    ``terms`` holds (ln w_k, s_k) pairs.  Every lobe of every term is scaled
+    by its own peak; the parts are summed in log space and the summed error
+    bound is tested against ``CERTIFY_RTOL`` of the summed value.  Returns an
+    :class:`Estimate`, which is 0.0 or subnormal when the value lies below
+    the double range, or raises :class:`ConvergenceError`.
+    """
+    p, r = link.params, link.r
+    lobes = []
+    if p.omega >= WEIGHT_EPS:
+        lobes.append((math.log(p.omega), 1.0, math.log(p.lam), 1.0))
+    if 1.0 - p.omega >= WEIGHT_EPS:
+        lobes.append((math.log1p(-p.omega), p.a, math.log(p.b), p.c))
+    parts = []
+    for log_w, s in terms:
+        for log_weight, a, log_b, c in lobes:
+            scale, value, bound = _lobe_expectation(a, s + r * log_b, r / c, log_h)
+            parts.append((log_w + log_weight + scale, value, bound))
+    top = max(scale for scale, _, _ in parts)
+    total = sum(math.exp(scale - top) * value for scale, value, _ in parts)
+    bound = sum(math.exp(scale - top) * b for scale, _, b in parts)
+    value, err = math.exp(top) * total, math.exp(top) * bound
+    if not bound <= CERTIFY_RTOL * total:
+        raise ConvergenceError(
+            f"quadrature did not converge (estimate {value!r}, bound {err!r})",
+            estimate=value,
+            error_bound=err,
+        )
+    return Estimate(value, err)
+
+
+def avg_ber_quadrature(link: LinkBudget, modulation: Modulation):
     """Average BER from the defining conditional-kernel integral.
 
-    The returned :class:`Estimate` carries the error bound of the value.
+    Returns an :class:`Estimate` carrying its error bound, or raises
+    :class:`ConvergenceError` when the bound exceeds ``CERTIFY_RTOL`` of it.
     """
     _check_compat(link, modulation)
-    delta, p, q, _ = modulation_params(modulation)
-    r, mu = link.r, link.mu_r
-    total = bound = 0.0
-    for qk in q:
-        log_q_mu = math.log(qk) + math.log(mu)
-
-        def kernel(log_i):
-            return sp.gammaincc(p, math.exp(min(log_q_mu + r * log_i, 709.0)))
-
-        # the kernel falls from 1 to 0 around q mu I^r = 1
-        est = _mixture_expectation(link.params, kernel, cfg, feature_log_i=-log_q_mu / r)
-        total += est
-        bound += est.error_bound
-    return Estimate(0.5 * delta * total, 0.5 * delta * bound)
+    delta, _, q, _ = modulation_params(modulation)
+    # p = 1/2 for every scheme: Gamma(1/2, x) / Gamma(1/2) = erfc(sqrt(x))
+    log_w = math.log(0.5 * delta)
+    log_mu = math.log(link.mu_r)
+    return _certified_expectation(
+        link, [(log_w, math.log(qk) + log_mu) for qk in q], _ln_erfc_sqrt
+    )
 
 
-def capacity_quadrature(link: LinkBudget, cfg=_QUAD):
+def capacity_quadrature(link: LinkBudget):
     """Ergodic capacity E[ln(1 + tau gamma)] by quadrature, in nats.
 
-    The returned :class:`Estimate` carries the error bound of the value.
+    Returns an :class:`Estimate` carrying its error bound, or raises
+    :class:`ConvergenceError` when the bound exceeds ``CERTIFY_RTOL`` of it.
     """
-    r = link.r
     log_tau_mu = math.log(CAPACITY_TAU) + math.log(link.mu_r)
-
-    def kernel(log_i):
-        t = log_tau_mu + r * log_i
-        if t > 36.0:
-            return t  # log1p(e^t) = t to double precision
-        return math.log1p(math.exp(t))
-
-    # the integrand bends from ~0 to ~linear around tau mu I^r = 1
-    return _mixture_expectation(
-        link.params, kernel, cfg, feature_log_i=-log_tau_mu / r
-    )
+    return _certified_expectation(link, [(0.0, log_tau_mu)], _ln_softplus)
 
 
 # ---------------------------------------------------------------------------
@@ -526,82 +575,38 @@ def _capacity_foxh(link: LinkBudget, cfg=_FOXH_QUAD):
     return total
 
 
-def _crosschecked(exact_fn, quad_fn, what, method):
-    if method == "foxh":
-        return exact_fn()
+def _route(method, foxh, quadrature):
     if method == "quadrature":
-        return float(quad_fn())
-    if method != "auto":
-        raise ValueError(f"unknown method {method!r}")
-    try:
-        estimate = quad_fn()
-    except ConvergenceError as failure:
-        try:
-            closed = exact_fn()
-        except ConvergenceError:
-            raise failure
-        warnings.warn(
-            f"{what}: {failure}; using the closed form value {closed!r}",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return closed
-    reference = float(estimate)
-    if 0.0 < estimate.error_bound <= CROSSCHECK_RTOL * reference:
-        return reference
-    try:
-        closed = exact_fn()
-    except ConvergenceError as exc:
-        warnings.warn(
-            f"{what}: closed form did not converge ({exc}); using quadrature value",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return reference
-    if abs(closed - reference) > CROSSCHECK_RTOL * max(abs(closed), abs(reference)) + 1e-300:
-        warnings.warn(
-            f"{what}: closed form {closed!r} disagrees with quadrature "
-            f"{reference!r} beyond rtol {CROSSCHECK_RTOL}; using quadrature value",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-    return reference
+        return float(quadrature())
+    if method == "foxh":
+        return foxh()
+    raise ValueError(f"unknown method {method!r} (expected 'quadrature' or 'foxh')")
 
 
-def avg_ber(link: LinkBudget, modulation: Modulation, method="auto"):
+def avg_ber(link: LinkBudget, modulation: Modulation, method="quadrature"):
     """Average bit error rate.
 
-    ``method='auto'`` evaluates the quadrature route and returns it when its
-    error bound is at most ``CROSSCHECK_RTOL`` of the (positive) value.
-    Otherwise the Fox H closed form is evaluated too: if the quadrature
-    converged, the closed form only cross-checks it (a ``RuntimeWarning`` on
-    disagreement, the quadrature value is kept); if the quadrature raised
-    :class:`ConvergenceError`, the closed form value is returned with a
-    ``RuntimeWarning``, and the quadrature's error is re-raised when the
-    closed form fails too.  ``'foxh'`` and ``'quadrature'`` force a single
-    route.
+    ``method='quadrature'`` returns the certified quadrature value and raises
+    :class:`ConvergenceError` when it cannot be certified; ``'foxh'``
+    evaluates the paper's Fox H closed form instead.
     """
     _check_compat(link, modulation)
-    return _crosschecked(
+    return _route(
+        method,
         lambda: _avg_ber_foxh(link, modulation),
         lambda: avg_ber_quadrature(link, modulation),
-        f"avg_ber[{modulation.label}]",
-        method,
     )
 
 
-def ergodic_capacity(link: LinkBudget, method="auto"):
+def ergodic_capacity(link: LinkBudget, method="quadrature"):
     """Ergodic capacity in nats per channel use.
 
-    ``method='auto'`` returns the quadrature value when its own error bound
-    certifies it and brings in the Fox H closed form otherwise, exactly as
-    :func:`avg_ber` does; ``'foxh'`` and ``'quadrature'`` force one route.
+    ``method`` chooses the route as in :func:`avg_ber`.
     """
-    return _crosschecked(
+    return _route(
+        method,
         lambda: _capacity_foxh(link),
         lambda: capacity_quadrature(link),
-        "ergodic_capacity",
-        method,
     )
 
 

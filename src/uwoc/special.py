@@ -1,10 +1,8 @@
-"""Scalar special functions and numerical integration primitives.
+"""Numerical integration primitives and the Fox H function.
 
-Everything downstream (mixture densities, SNR statistics, error-rate and
-capacity formulas) reduces to the functions in this module: log-gamma,
-regularized incomplete gammas, adaptive quadrature, and a numerical Fox H
-evaluator based on direct Mellin-Barnes contour integration along a vertical
-line.
+Adaptive quadrature with an error bound, and a numerical Fox H evaluator
+based on direct Mellin-Barnes contour integration along a vertical line.
+Gamma-family functions come straight from ``scipy.special``.
 """
 
 from __future__ import annotations
@@ -23,9 +21,6 @@ from .errors import ConvergenceError
 __all__ = [
     "QuadratureConfig",
     "FoxHSpec",
-    "log_gamma",
-    "reg_lower_inc_gamma",
-    "upper_inc_gamma",
     "adaptive_quad",
     "fox_h",
     "fox_h_ln",
@@ -53,39 +48,6 @@ DEFAULT_QUAD = QuadratureConfig()
 def _check_positive(name, x):
     if not np.isfinite(x) or x <= 0:
         raise ValueError(f"{name} must be positive and finite, got {x!r}")
-
-
-def log_gamma(x):
-    """ln Gamma(x) for x > 0."""
-    x = float(x)
-    _check_positive("x", x)
-    return float(sp.gammaln(x))
-
-
-def reg_lower_inc_gamma(a, x):
-    """Regularized lower incomplete gamma P(a, x) = gamma(a, x)/Gamma(a)."""
-    a = float(a)
-    x = float(x)
-    _check_positive("a", a)
-    if not np.isfinite(x) and x > 0:
-        return 1.0
-    if x < 0 or not np.isfinite(x):
-        raise ValueError(f"x must be >= 0, got {x!r}")
-    return float(sp.gammainc(a, x))
-
-
-def upper_inc_gamma(p, x):
-    """Upper incomplete gamma Gamma(p, x) = Gamma(p) * (1 - P(p, x))."""
-    p = float(p)
-    x = float(x)
-    _check_positive("p", p)
-    if x < 0 or not np.isfinite(x):
-        raise ValueError(f"x must be >= 0 and finite, got {x!r}")
-    # gammaincc underflows gracefully; multiply in log space when possible
-    q = sp.gammaincc(p, x)
-    if q > 0.0:
-        return float(np.exp(sp.gammaln(p) + np.log(q)))
-    return 0.0
 
 
 class Estimate(float):

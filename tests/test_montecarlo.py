@@ -1,10 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy import special as sp
 
+from uwoc import montecarlo
 from uwoc.distributions import EggParams
 from uwoc.montecarlo import SimConfig, simulate_ber, simulate_capacity, simulate_outage
 from uwoc.performance import (
@@ -42,6 +46,23 @@ class TestDeterminism:
         assert simulate_ber(
             LinkBudget(ROW1, IMDD, db(25.0)), Modulation.ook(), cfg
         ) == simulate_ber(LinkBudget(ROW1, IMDD, db(25.0)), Modulation.ook(), cfg)
+
+    def test_same_floats_for_any_blas_thread_count(self):
+        code = ("from uwoc.montecarlo import SimConfig, simulate_ber, simulate_capacity; "
+                "from uwoc.performance import IMDD, LinkBudget, Modulation; "
+                "from uwoc.presets import condition; "
+                "link = LinkBudget(condition('23.6lpm-0.22C').egg, IMDD, 1e3); "
+                "cfg = SimConfig(n_samples=1_000_000, seed=7); "
+                "print(simulate_ber(link, Modulation.ook(), cfg), simulate_capacity(link, cfg))")
+        src = os.path.dirname(os.path.dirname(os.path.abspath(montecarlo.__file__)))
+        outputs = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+                   "OMP_NUM_THREADS": threads}
+            done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                  text=True, check=True, timeout=300)
+            outputs.append(done.stdout)
+        assert outputs[0] == outputs[1]
 
     def test_se_scaling(self):
         link = LinkBudget(STRONG, IMDD, db(20.0))

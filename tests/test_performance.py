@@ -1,4 +1,7 @@
+import json
 import math
+import os
+import warnings
 
 import numpy as np
 import pytest
@@ -9,13 +12,15 @@ from uwoc.distributions import EggParams
 from uwoc.errors import ConvergenceError
 from uwoc.performance import (
     CAPACITY_TAU,
-    CROSSCHECK_RTOL,
+    CERTIFY_RTOL,
     HETERODYNE,
     IMDD,
     DetectionMode,
     LinkBudget,
     Modulation,
     _avg_ber_foxh,
+    _ln_erfc_sqrt,
+    _ln_softplus,
     avg_ber,
     avg_ber_asymptotic,
     avg_ber_quadrature,
@@ -31,7 +36,7 @@ from uwoc.performance import (
     snr_pdf,
 )
 from uwoc.presets import ALL_CONDITIONS, condition
-from uwoc.special import QuadratureConfig, adaptive_quad
+from uwoc.special import Estimate, QuadratureConfig, adaptive_quad
 
 ROW1 = condition("2.4lpm-0.05C").egg
 STRONG = condition("23.6lpm-0.22C").egg
@@ -44,20 +49,12 @@ def db(x):
     return 10.0 ** (x / 10.0)
 
 
-def certified(estimate):
-    """The rule by which ``method='auto'`` returns a quadrature value alone."""
-    return 0.0 < estimate.error_bound <= CROSSCHECK_RTOL * estimate
-
-
-def assert_crosscheck(quad_fn, foxh_fn, point, uncertified):
-    """Fox H agrees with a certified quadrature value to CROSSCHECK_RTOL;
-    an uncertified point is collected instead of compared."""
+def assert_crosscheck(quad_fn, foxh_fn, point):
+    """The quadrature certifies its value, and Fox H agrees to CERTIFY_RTOL."""
     q = quad_fn()
-    if not certified(q):
-        uncertified.append(point)
-        return
+    assert q.error_bound <= CERTIFY_RTOL * q, point
     f = foxh_fn()
-    assert abs(f - q) <= CROSSCHECK_RTOL * max(abs(f), abs(q)), (point, f, q)
+    assert abs(f - q) <= CERTIFY_RTOL * max(abs(f), abs(q)), (point, f, q)
 
 
 class TestModulationParams:
@@ -250,21 +247,20 @@ class TestAvgBer:
             assert avg_ber(link, ook, method="quadrature") == pytest.approx(want, rel=0.05)
 
     def test_foxh_matches_quadrature(self):
-        # every preset row; the quadrature's bound leaves uncertified only the
-        # deep tail of the *-0lpm rows, where both routes can be wrong
-        uncertified = []
+        # every preset row; in the deep tail of the *-0lpm rows the contour
+        # integral loses digits (1.36e-100 against mpmath's 5.72e-100 on
+        # salty-0lpm OOK 30 dB), so there TestReferenceTable checks instead
         for row in ALL_CONDITIONS:
             for snr_db in (10.0, 30.0, 50.0):
+                if row.label in ("salty-0lpm", "fresh-0lpm") and snr_db >= 30.0:
+                    continue
                 for mode, modulation in ((IMDD, Modulation.ook()), (HETERODYNE, Modulation.bpsk())):
                     link = LinkBudget(row.egg, mode, db(snr_db))
                     assert_crosscheck(
                         lambda: avg_ber_quadrature(link, modulation),
                         lambda: _avg_ber_foxh(link, modulation),
                         (row.label, mode.name, snr_db),
-                        uncertified,
                     )
-        assert {label for label, _, _ in uncertified} <= {"salty-0lpm", "fresh-0lpm"}
-        assert all(snr_db >= 30.0 for _, _, snr_db in uncertified)
 
     def test_shape_one_reduced_equals_general(self):
         # at c = 1 the closed form routes through the unit-coefficient Meijer
@@ -303,76 +299,151 @@ class TestAvgBer:
         with pytest.raises(ValueError):
             avg_ber(link2, Modulation.mqam(16))
 
-    def test_auto_method_consistent(self):
+    def test_unknown_method(self):
         link = LinkBudget(SALTY165, IMDD, db(35.0))
-        auto = avg_ber(link, Modulation.ook())
-        quad = avg_ber(link, Modulation.ook(), method="quadrature")
-        assert auto == pytest.approx(quad, rel=1e-12)
+        for method in ("auto", "mc"):
+            with pytest.raises(ValueError, match="unknown method"):
+                avg_ber(link, Modulation.ook(), method=method)
+            with pytest.raises(ValueError, match="unknown method"):
+                ergodic_capacity(link, method=method)
 
 
 def _no_foxh(*args, **kwargs):
-    raise AssertionError("the Fox H route ran on a certified point")
+    raise AssertionError("the Fox H route ran on the default route")
 
 
-class TestAutoRoute:
-    """``method='auto'``: one route where the quadrature certifies itself."""
+REFERENCE = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                         "perfbench", "reference", "curves_reference.json")
 
-    ROWS = ("2.4lpm-0.05C", "23.6lpm-0.22C", "salty-16.5lpm")
 
-    def test_certified_points_skip_foxh(self, monkeypatch):
+class TestDefaultRoute:
+    """The default route: the quadrature value when its bound certifies it,
+    ConvergenceError otherwise, and Fox H never."""
+
+    def test_every_row_evaluates_without_foxh(self, monkeypatch):
         monkeypatch.setattr(performance, "_avg_ber_foxh", _no_foxh)
         monkeypatch.setattr(performance, "_capacity_foxh", _no_foxh)
-        for label in self.ROWS:
-            egg = condition(label).egg
-            for snr_db in (10.0, 30.0, 50.0):
-                for mode, modulation in ((IMDD, Modulation.ook()), (HETERODYNE, Modulation.bpsk())):
-                    link = LinkBudget(egg, mode, db(snr_db))
-                    quad = avg_ber_quadrature(link, modulation)
-                    assert certified(quad)
-                    assert avg_ber(link, modulation) == float(quad)
-                link = LinkBudget(egg, IMDD, db(snr_db))
-                quad = capacity_quadrature(link)
-                assert certified(quad)
-                assert ergodic_capacity(link) == float(quad)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row in ALL_CONDITIONS:
+                for snr_db in (10.0, 30.0, 50.0):
+                    for mode, modulation in ((IMDD, Modulation.ook()),
+                                             (HETERODYNE, Modulation.bpsk())):
+                        link = LinkBudget(row.egg, mode, db(snr_db))
+                        quad = avg_ber_quadrature(link, modulation)
+                        assert quad.error_bound <= CERTIFY_RTOL * quad
+                        assert avg_ber(link, modulation) == float(quad)
+                        quad = capacity_quadrature(link)
+                        assert quad.error_bound <= CERTIFY_RTOL * quad
+                        assert ergodic_capacity(link) == float(quad)
 
-    def test_quadrature_failure_falls_back_to_foxh(self):
-        # the 16-QAM quadrature of this row does not converge at 20 dB; the
-        # reference is mpmath's value (perfbench/reference/curves_reference.json)
-        link = LinkBudget(condition("2.4lpm-0.20C").egg, HETERODYNE, db(20.0))
+    @pytest.mark.parametrize("label, mode, modulation, snr_db, want", [
+        # one GG-lobe part is tiny against the total (8.6e-8 of 1.9e-2); only
+        # the total's bound is tested
+        pytest.param("2.4lpm-0.20C", HETERODYNE, Modulation.mqam(16), 20.0,
+                     1.902808684435928e-2, id="2.4lpm-0.20C-16qam-20dB"),
+        # deep tails, where the BER kernel underflows unless taken in log form
+        pytest.param("fresh-0lpm", HETERODYNE, Modulation.bpsk(), 30.0,
+                     4.863738367981e-273, id="fresh-0lpm-bpsk-30dB"),
+        pytest.param("fresh-0lpm", IMDD, Modulation.ook(), 40.0,
+                     8.291076030983e-234, id="fresh-0lpm-ook-40dB"),
+    ])
+    def test_reference_points(self, label, mode, modulation, snr_db, want):
+        # values from perfbench/reference/curves_reference.json (mpmath)
+        link = LinkBudget(condition(label).egg, mode, db(snr_db))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert avg_ber(link, modulation) == pytest.approx(want, rel=1e-6)
+
+    def test_uncertified_value_raises(self, monkeypatch):
+        def loose(f, lo, hi, cfg, points=None):
+            est = adaptive_quad(f, lo, hi, cfg, points=points)
+            return Estimate(est, 1e-3 * abs(est))
+
+        monkeypatch.setattr(performance, "adaptive_quad", loose)
+        link = LinkBudget(SALTY165, IMDD, db(30.0))
+        with pytest.raises(ConvergenceError, match="quadrature did not converge") as err:
+            avg_ber(link, Modulation.ook())
+        assert err.value.estimate == pytest.approx(7.2e-2, rel=0.05)
+        assert err.value.error_bound > CERTIFY_RTOL * err.value.estimate
         with pytest.raises(ConvergenceError):
-            avg_ber_quadrature(link, Modulation.mqam(16))
-        with pytest.warns(RuntimeWarning, match="quadrature did not converge"):
-            got = avg_ber(link, Modulation.mqam(16))
-        assert got == pytest.approx(1.902808684435928e-2, rel=1e-6)
+            ergodic_capacity(link)
 
-    def test_both_routes_failing_raises_quadrature_error(self, monkeypatch):
-        def failing(*args, **kwargs):
-            raise ConvergenceError("Fox H failed", estimate=None)
 
-        monkeypatch.setattr(performance, "_avg_ber_foxh", failing)
-        link = LinkBudget(condition("2.4lpm-0.20C").egg, HETERODYNE, db(20.0))
-        with pytest.raises(ConvergenceError, match="quadrature did not converge"):
-            avg_ber(link, Modulation.mqam(16))
+class TestReferenceTable:
+    """Every certified point of the checked-in mpmath table, by default route."""
 
-    def test_uncertified_disagreement_warns(self):
-        # quadrature 1.9e-299 against a true 4.86e-273
-        link = LinkBudget(condition("fresh-0lpm").egg, HETERODYNE, db(30.0))
-        assert not certified(avg_ber_quadrature(link, Modulation.bpsk()))
-        with pytest.warns(RuntimeWarning, match="disagrees"):
-            avg_ber(link, Modulation.bpsk())
+    RTOL = 1e-6
+    ABS_FLOOR = 1e-300  # values below the double range compare as zero
 
-    def test_zero_counts_as_uncertified(self):
-        link = LinkBudget(condition("fresh-0lpm").egg, IMDD, db(40.0))
-        assert avg_ber_quadrature(link, Modulation.ook()) == 0.0
-        with pytest.warns(RuntimeWarning, match="disagrees"):
-            assert avg_ber(link, Modulation.ook()) == 0.0
+    def test_every_certified_point(self):
+        with open(REFERENCE) as handle:
+            points = json.load(handle)["points"]
+        failures = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for p in points:
+                egg = condition(p["row"]).egg
+                if not p["certified"] or [egg.omega, egg.lam, egg.a, egg.b, egg.c] != p["params"]:
+                    continue
+                mode = DetectionMode.parse(p["detection"])
+                link = LinkBudget(egg, mode, db(p["snr_db"]))
+                if p["metric"] == "outage":
+                    got = outage(link)
+                elif p["metric"] == "ber":
+                    got = avg_ber(link, Modulation.parse(p["modulation"]))
+                else:
+                    got = ergodic_capacity(link)
+                want = float(p["value"])
+                if abs(got - want) > self.RTOL * abs(want) + self.ABS_FLOOR:
+                    failures.append((p["row"], p["detection"], p["metric"], p["modulation"],
+                                     p["snr_db"], got, want))
+        assert sum(p["certified"] for p in points) > 1200
+        assert failures == []
+
+    @pytest.mark.parametrize("params, mode, modulation, snr_db, want", [
+        pytest.param((7.36529701123342e-15, 0.20700664164266994, 2.0700884502784103,
+                      0.4510934118962774, 45.16649615151824), IMDD, "ook", 37.63,
+                     8.66376744029e-91, id="ook-37.63dB"),
+        pytest.param((3.7894753965272354e-07, 0.06236557185672698, 0.304515550071709,
+                      2.8934234153464278, 12.93167021268663), HETERODYNE, "mqam:16", 30.31,
+                     1.1101003294e-8, id="16qam-30.31dB"),
+        pytest.param((4.845153121985432e-22, 0.1505843255767409, 2.4626127981620516,
+                      0.9175272692335218, 11.36566968780381), IMDD, "ook", 51.65,
+                     1.67975107244e-54, id="ook-51.65dB"),
+    ])
+    def test_random_fitted_shapes(self, params, mode, modulation, snr_db, want):
+        # random points inside the fitted ranges where bounding each part
+        # against an absolute floor certified wrong values; references from
+        # perfbench/reference/make_reference.point at 32 digits
+        link = LinkBudget(EggParams(*params), mode, db(snr_db))
+        got = avg_ber_quadrature(link, Modulation.parse(modulation))
+        assert got == pytest.approx(want, rel=1e-9)
 
 
 class TestAvgBerQuadrature:
     def test_erfc_kernel_identity(self):
-        # Gamma(1/2, q gamma)/Gamma(1/2) = erfc(sqrt(q gamma))
-        for x in (0.01, 0.5, 3.0, 20.0):
+        # Gamma(1/2, q gamma)/Gamma(1/2) = erfc(sqrt(q gamma)), taken in log form
+        for x in (0.01, 0.5, 3.0, 20.0, 600.0):
             assert sp.gammaincc(0.5, x) == pytest.approx(math.erfc(math.sqrt(x)), rel=1e-12)
+            assert _ln_erfc_sqrt(math.log(x))[0] == pytest.approx(
+                math.log(math.erfc(math.sqrt(x))), rel=1e-13)
+        # far past the underflow of erfc: ln erfc(y) ~ -y^2 - ln(y sqrt(pi)) - 1/(2 y^2)
+        x = math.exp(18.0)
+        assert _ln_erfc_sqrt(18.0)[0] == pytest.approx(
+            -x - math.log(math.sqrt(x * math.pi)) - 0.5 / x, rel=1e-15)
+
+    @pytest.mark.parametrize("log_h", [_ln_erfc_sqrt, _ln_softplus])
+    def test_log_kernel_slopes(self, log_h):
+        # the analytic slopes that locate each lobe's peak, against central
+        # differences; both must be concave
+        for s in np.linspace(-40.0, 40.0, 33):
+            value, d1, d2 = log_h(s)
+            fd1 = (log_h(s + 1e-5)[0] - log_h(s - 1e-5)[0]) / 2e-5
+            fd2 = (log_h(s + 1e-4)[1] - log_h(s - 1e-4)[1]) / 2e-4
+            assert d1 == pytest.approx(fd1, rel=1e-6, abs=1e-9)
+            assert d2 == pytest.approx(fd2, rel=1e-4, abs=1e-9)
+            assert d2 <= 0.0
 
     def test_sampling_oracle(self):
         link = LinkBudget(SALTY165, IMDD, db(30.0))
@@ -384,14 +455,16 @@ class TestAvgBerQuadrature:
         )
 
     def test_refinement_oracle_pure_exponential(self):
+        # gamma ~ Exp(mean m): the BPSK kernel integrated directly over the
+        # SNR density at tight tolerances
         params = EggParams(1.0, 0.8, 1.0, 1.0, 1.0)
         link = LinkBudget(params, HETERODYNE, db(20.0))
-        coarse = avg_ber_quadrature(link, Modulation.bpsk())
-        tight = avg_ber_quadrature(
-            link, Modulation.bpsk(),
+        m = 0.8 * link.mu_r
+        tight = adaptive_quad(
+            lambda g: math.exp(-g / m) / m * 0.5 * math.erfc(math.sqrt(g)), 0.0, math.inf,
             QuadratureConfig(abs_tol=1e-14, rel_tol=1e-11, max_subdivisions=500),
         )
-        assert coarse == pytest.approx(tight, rel=1e-8)
+        assert avg_ber_quadrature(link, Modulation.bpsk()) == pytest.approx(tight, rel=1e-8)
 
 
 class TestAvgBerAsymptotic:
@@ -431,7 +504,6 @@ class TestErgodicCapacity:
         assert ergodic_capacity(link) == pytest.approx(mc, rel=5e-3)
 
     def test_foxh_matches_quadrature(self):
-        uncertified = []
         for row in ALL_CONDITIONS:
             for mode in (IMDD, HETERODYNE):
                 link = LinkBudget(row.egg, mode, db(30.0))
@@ -439,9 +511,7 @@ class TestErgodicCapacity:
                     lambda: capacity_quadrature(link),
                     lambda: ergodic_capacity(link, method="foxh"),
                     (row.label, mode.name),
-                    uncertified,
                 )
-        assert uncertified == []
 
     def test_monotone_in_snr(self):
         vals = [ergodic_capacity(LinkBudget(ROW1, IMDD, db(s)), method="quadrature")

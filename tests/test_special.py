@@ -11,80 +11,7 @@ from uwoc.special import (
     QuadratureConfig,
     adaptive_quad,
     fox_h,
-    log_gamma,
-    reg_lower_inc_gamma,
-    upper_inc_gamma,
 )
-
-GRID = np.logspace(-3, 3, 61)
-
-
-class TestLogGamma:
-    def test_at_one(self):
-        assert log_gamma(1.0) == pytest.approx(0.0, abs=1e-13)
-
-    def test_at_half(self):
-        assert log_gamma(0.5) == pytest.approx(0.5 * math.log(math.pi), rel=1e-13)
-
-    def test_product_recursion_oracle(self):
-        # Gamma(4.5) = 3.5 * 2.5 * 1.5 * 0.5 * Gamma(0.5)
-        want = math.log(3.5 * 2.5 * 1.5 * 0.5) + 0.5 * math.log(math.pi)
-        assert log_gamma(4.5) == pytest.approx(want, rel=1e-13)
-
-    def test_recurrence_on_grid(self):
-        for x in GRID:
-            gap = log_gamma(x + 1.0) - log_gamma(x) - math.log(x)
-            assert abs(gap) < 1e-12
-
-    @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
-    def test_domain(self, bad):
-        with pytest.raises(ValueError):
-            log_gamma(bad)
-
-
-class TestIncompleteGamma:
-    def test_exponential_identity(self):
-        for x in [0.1, 1.0, 3.0, 10.0]:
-            assert reg_lower_inc_gamma(1.0, x) == pytest.approx(-math.expm1(-x), rel=1e-13)
-
-    def test_zero(self):
-        assert reg_lower_inc_gamma(1.4299, 0.0) == 0.0
-
-    def test_quadrature_oracle(self):
-        a = 1.4299
-        want = adaptive_quad(lambda t: t ** (a - 1) * math.exp(-t), 0.0, 2.0)
-        want /= math.gamma(a)
-        assert reg_lower_inc_gamma(a, 2.0) == pytest.approx(want, rel=1e-10)
-
-    def test_monotone(self):
-        xs = np.linspace(0.0, 20.0, 200)
-        vals = [reg_lower_inc_gamma(0.7, x) for x in xs]
-        assert np.all(np.diff(vals) >= 0.0)
-        assert vals[-1] == pytest.approx(1.0, abs=1e-6)
-
-    def test_upper_erfc_identity(self):
-        for x in [0.2, 1.0, 4.0]:
-            want = math.sqrt(math.pi) * math.erfc(math.sqrt(x))
-            assert upper_inc_gamma(0.5, x) == pytest.approx(want, rel=1e-12)
-
-    def test_upper_at_zero(self):
-        assert upper_inc_gamma(2.5, 0.0) == pytest.approx(math.gamma(2.5), rel=1e-13)
-
-    def test_upper_quadrature_oracle(self):
-        want = adaptive_quad(lambda t: t ** (-0.5) * math.exp(-t), 4.0, math.inf)
-        assert upper_inc_gamma(0.5, 4.0) == pytest.approx(want, rel=1e-10)
-
-    def test_complementarity(self):
-        for a in [0.0121, 0.5, 1.4299, 17.0, 120.0]:
-            for x in [0.01, 0.5, 2.0, 40.0]:
-                total = reg_lower_inc_gamma(a, x) + upper_inc_gamma(a, x) / math.gamma(a)
-                assert total == pytest.approx(1.0, abs=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            reg_lower_inc_gamma(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            upper_inc_gamma(0.5, -1.0)
 
 
 class TestAdaptiveQuad:
