@@ -5,12 +5,14 @@ Maps the irradiance mixture into the electrical-SNR domain for heterodyne
 evaluates outage probability, average bit error rate, and ergodic capacity.
 Outage comes from the incomplete-gamma closed form.  BER and capacity have
 one production route, a certified quadrature: each lobe's expectation is
-integrated in t = ln U around the peak of its concave log-integrand, the
-parts are summed in log space, and the value is returned only when the
-error bound of the total is at most ``CERTIFY_RTOL`` of it (else
-:class:`ConvergenceError`).  Values below the double range therefore come
-back certified as 0.0 or subnormal.  The paper's Fox H closed forms stay
-available as ``method='foxh'``, and every metric has a high-SNR asymptote in
+integrated in t = ln U around the peak of its concave log-integrand, on
+vectorized Gauss-Kronrod panels seeded at the peak, the parts are summed in
+log space, and the value is returned only when the error bound of the total
+is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).  Values
+below the double range therefore come back certified as 0.0 or subnormal.
+The route needs numpy and ``scipy.special`` only.  The paper's Fox H closed
+forms stay available as ``method='foxh'`` (QUADPACK through
+``scipy.integrate``), and every metric has a high-SNR asymptote in
 elementary functions.
 """
 
@@ -26,7 +28,7 @@ from scipy import special as sp
 
 from .distributions import EggParams, EgParams, WEIGHT_EPS
 from .errors import ConvergenceError
-from .special import Estimate, FoxHSpec, QuadratureConfig, adaptive_quad, fox_h_ln
+from .special import Estimate, FoxHSpec, QuadratureConfig, _gauss_kronrod, fox_h_ln
 
 __all__ = [
     "DetectionMode",
@@ -61,6 +63,8 @@ CERTIFY_RTOL = 1e-6
 # log-integrand has fallen this far below its peak
 _DROP = 40.0
 _QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-8, max_subdivisions=400)
+# panel breaks at the peak and 2^k (k = 0..7) of its width to either side
+_BREAK_LADDER = np.concatenate([-(2.0 ** np.arange(7, -1, -1)), [0.0], 2.0 ** np.arange(8)])
 _FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-10, max_subdivisions=64)
 
 _EXP_LO = -745.0
@@ -303,6 +307,12 @@ def _ln_erfc_sqrt(s):
     return math.log(ex) - x, -k, -k * bend
 
 
+def _ln_erfc_sqrt_array(s):
+    """ln erfc(sqrt(x)) at x = e^s, for an array s (value only)."""
+    x = np.exp(np.minimum(s, 709.0))
+    return np.where(s > 709.0, -np.inf, np.log(sp.erfcx(np.sqrt(x))) - x)
+
+
 def _ln_softplus(s):
     """ln ln(1 + e^s), with its first two derivatives in s."""
     if s < -36.0:
@@ -314,6 +324,16 @@ def _ln_softplus(s):
     sig = e / (1.0 + e)
     d1 = sig / soft
     return math.log(soft), d1, sig * (1.0 - sig) / soft - d1 * d1
+
+
+def _ln_softplus_array(s):
+    """ln ln(1 + e^s) for an array s (value only)."""
+    mid = np.log(np.log1p(np.exp(np.clip(s, -36.0, 36.0))))
+    return np.where(s < -36.0, s, np.where(s > 36.0, np.log(np.maximum(s, 36.0)), mid))
+
+
+_BER_KERNEL = (_ln_erfc_sqrt, _ln_erfc_sqrt_array)
+_CAPACITY_KERNEL = (_ln_softplus, _ln_softplus_array)
 
 
 def _argmax(ell, t):
@@ -369,16 +389,20 @@ def _level_point(ell, t_star, target, step, direction):
     return t, f, d1
 
 
-def _lobe_expectation(a, s0, kappa, log_h):
+def _lobe_expectation(a, s0, kappa, kernel):
     """E[h(s0 + kappa ln U)] for U ~ Gamma(a, 1), as (log scale, value, bound).
 
-    The expectation is exp(log scale) * value, and bound bounds the error of
-    value.  With t = ln U the log-integrand L(t) = a t - e^t + ln h(s0 +
-    kappa t) - ln Gamma(a) is concave for the BER and capacity kernels.  It
-    is integrated as exp(L - L*) between the points where it has fallen
-    ``_DROP`` below its peak L*; concavity bounds each tail beyond by
+    ``kernel`` is the pair of forms of ln h: scalar with its first two
+    derivatives, and array-valued.  The expectation is exp(log scale) *
+    value, and bound bounds the error of value.  With t = ln U the
+    log-integrand L(t) = a t - e^t + ln h(s0 + kappa t) - ln Gamma(a) is
+    concave for the BER and capacity kernels.  It is integrated as
+    exp(L - L*) on Gauss-Kronrod panels between the points where it has
+    fallen ``_DROP`` below its peak L*, with breaks at t* +- w 2^k (k = 0..7,
+    w = 1/sqrt(-L''(t*))); concavity bounds each tail beyond by
     exp(L - L*) / |L'| there.
     """
+    log_h, log_h_array = kernel
 
     def ell(t):
         # L(t) + ln Gamma(a) and its first two derivatives
@@ -394,17 +418,21 @@ def _lobe_expectation(a, s0, kappa, log_h):
     tails = (math.exp(f_lo - f_star) / slope_lo if slope_lo > 0.0 else math.inf) + (
         math.exp(f_hi - f_star) / -slope_hi if slope_hi < 0.0 else math.inf
     )
+    inner = t_star + _BREAK_LADDER / math.sqrt(max(-d2, 1e-12))
+    breaks = np.concatenate(([t_lo], inner[(inner > t_lo) & (inner < t_hi)], [t_hi]))
+
+    def integrand(t):
+        return np.exp(a * t - np.exp(np.minimum(t, 709.0)) + log_h_array(s0 + kappa * t) - f_star)
+
     try:
-        est = adaptive_quad(
-            lambda t: math.exp(ell(t)[0] - f_star), t_lo, t_hi, _QUAD, points=(t_star,)
-        )
+        est = _gauss_kronrod(integrand, breaks, _QUAD)
         value, err = float(est), est.error_bound
     except ConvergenceError as exc:
         value, err = exc.estimate, exc.error_bound
     return f_star - sp.gammaln(a), value, err + tails
 
 
-def _certified_expectation(link: LinkBudget, terms, log_h):
+def _certified_expectation(link: LinkBudget, terms, kernel):
     """sum_k w_k E[h(s_k + r ln I)] over the fading mixture, certified.
 
     ``terms`` holds (ln w_k, s_k) pairs.  Every lobe of every term is scaled
@@ -422,7 +450,7 @@ def _certified_expectation(link: LinkBudget, terms, log_h):
     parts = []
     for log_w, s in terms:
         for log_weight, a, log_b, c in lobes:
-            scale, value, bound = _lobe_expectation(a, s + r * log_b, r / c, log_h)
+            scale, value, bound = _lobe_expectation(a, s + r * log_b, r / c, kernel)
             parts.append((log_w + log_weight + scale, value, bound))
     top = max(scale for scale, _, _ in parts)
     total = sum(math.exp(scale - top) * value for scale, value, _ in parts)
@@ -449,7 +477,7 @@ def avg_ber_quadrature(link: LinkBudget, modulation: Modulation):
     log_w = math.log(0.5 * delta)
     log_mu = math.log(link.mu_r)
     return _certified_expectation(
-        link, [(log_w, math.log(qk) + log_mu) for qk in q], _ln_erfc_sqrt
+        link, [(log_w, math.log(qk) + log_mu) for qk in q], _BER_KERNEL
     )
 
 
@@ -460,7 +488,7 @@ def capacity_quadrature(link: LinkBudget):
     :class:`ConvergenceError` when the bound exceeds ``CERTIFY_RTOL`` of it.
     """
     log_tau_mu = math.log(CAPACITY_TAU) + math.log(link.mu_r)
-    return _certified_expectation(link, [(0.0, log_tau_mu)], _ln_softplus)
+    return _certified_expectation(link, [(0.0, log_tau_mu)], _CAPACITY_KERNEL)
 
 
 # ---------------------------------------------------------------------------

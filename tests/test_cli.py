@@ -27,16 +27,30 @@ def sample_file(tmp_path):
     return path
 
 
+def _loaded_integrate_optimize(code):
+    """Which of scipy.integrate and scipy.optimize a fresh process has loaded after ``code``."""
+    code += ("\nimport sys; "
+             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True, timeout=120)
+    return done.stdout.strip()
+
+
 class TestImport:
     def test_cli_import_leaves_out_integrate_and_optimize(self):
-        # only quadrature, Fox H and the EM fit need them; they import them on use
-        code = ("import sys, uwoc.cli; "
-                "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__)))
-        env = {**os.environ, "PYTHONPATH": src}
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                              check=True, timeout=120)
-        assert done.stdout.strip() == "[]"
+        # only the Fox H contour integral needs them; it imports them on use
+        assert _loaded_integrate_optimize("import uwoc.cli") == "[]"
+
+    def test_ber_and_capacity_leave_out_integrate_and_optimize(self):
+        # the lobes run on numpy Gauss-Kronrod panels
+        code = ("from uwoc.performance import IMDD, LinkBudget, Modulation, avg_ber, "
+                "ergodic_capacity\n"
+                "from uwoc.presets import condition\n"
+                "link = LinkBudget(condition('salty-16.5lpm').egg, IMDD, 1e3)\n"
+                "assert 0.0 < avg_ber(link, Modulation.ook()) < 1.0 < ergodic_capacity(link)")
+        assert _loaded_integrate_optimize(code) == "[]"
 
     def test_fit_leaves_out_optimize(self, tmp_path, sample_file):
         # the Gamma shape equation is solved by a bracketed Newton iteration

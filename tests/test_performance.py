@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 from scipy import special as sp
+from scipy.optimize import brentq
 
 from uwoc import performance
 from uwoc.distributions import EggParams
@@ -36,7 +37,7 @@ from uwoc.performance import (
     snr_pdf,
 )
 from uwoc.presets import ALL_CONDITIONS, condition
-from uwoc.special import Estimate, QuadratureConfig, adaptive_quad
+from uwoc.special import Estimate, QuadratureConfig, _gauss_kronrod, adaptive_quad
 
 ROW1 = condition("2.4lpm-0.05C").egg
 STRONG = condition("23.6lpm-0.22C").egg
@@ -356,11 +357,11 @@ class TestDefaultRoute:
             assert avg_ber(link, modulation) == pytest.approx(want, rel=1e-6)
 
     def test_uncertified_value_raises(self, monkeypatch):
-        def loose(f, lo, hi, cfg, points=None):
-            est = adaptive_quad(f, lo, hi, cfg, points=points)
+        def loose(f, breaks, cfg):
+            est = _gauss_kronrod(f, breaks, cfg)
             return Estimate(est, 1e-3 * abs(est))
 
-        monkeypatch.setattr(performance, "adaptive_quad", loose)
+        monkeypatch.setattr(performance, "_gauss_kronrod", loose)
         link = LinkBudget(SALTY165, IMDD, db(30.0))
         with pytest.raises(ConvergenceError, match="quadrature did not converge") as err:
             avg_ber(link, Modulation.ook())
@@ -465,6 +466,69 @@ class TestAvgBerQuadrature:
             QuadratureConfig(abs_tol=1e-14, rel_tol=1e-11, max_subdivisions=500),
         )
         assert avg_ber_quadrature(link, Modulation.bpsk()) == pytest.approx(tight, rel=1e-8)
+
+
+# (a, c) of the extreme fitted lobes: fresh-16.5lpm, the strong row 23.6lpm-0.22C
+# (its left tail runs thousands of units in t), salty-0lpm, the top of the
+# fitted a range, and the exponential lobe (a = c = 1)
+EXTREME_LOBES = [(7.5e-3, 216.8356), (0.0121, 65.6983), (1012.6, 2.0541), (4e3, 217.0),
+                 (4e3, 0.5), (1.0, 1.0)]
+KERNELS = [(performance._BER_KERNEL, "ber"), (performance._CAPACITY_KERNEL, "capacity")]
+
+
+def _lobe_oracle(a, s0, kappa, log_h):
+    """(peak, integral of exp(L - peak) dt) by QUADPACK at tight settings,
+    over the whole span where L is within 80 of its peak."""
+    def ell(t):
+        u = math.exp(t)
+        h, h1, _ = log_h(s0 + kappa * t)
+        return a * t - u + h, a - u + kappa * h1
+
+    lo, hi = math.log(a) - 1.0, math.log(a) + 1.0
+    while ell(lo)[1] <= 0.0:
+        lo -= 2.0 * (hi - lo)
+    while ell(hi)[1] >= 0.0:
+        hi += 2.0 * (hi - lo)
+    t_m = brentq(lambda t: ell(t)[1], lo, hi, xtol=1e-14)
+    peak = ell(t_m)[0]
+    tight = QuadratureConfig(abs_tol=1e-16, rel_tol=1e-11, max_subdivisions=2000)
+    total = 0.0
+    for direction in (-1.0, 1.0):
+        reach = 1e-3
+        while ell(t_m + direction * reach)[0] > peak - 80.0:
+            reach *= 2.0
+        ends = sorted((t_m, t_m + direction * reach))
+        total += adaptive_quad(lambda t: math.exp(ell(t)[0] - peak), *ends, tight)
+    return peak, total
+
+
+class TestLobeIntegrator:
+    """The Gauss-Kronrod panels of each lobe against the QUADPACK oracle."""
+
+    @pytest.mark.parametrize("a, c", EXTREME_LOBES)
+    @pytest.mark.parametrize("kernel, name", KERNELS)
+    def test_extreme_shapes_match_quadpack(self, a, c, kernel, name):
+        for r in (1, 2):
+            for snr_db in (-10.0, 20.0, 50.0, 80.0):
+                s0 = math.log(db(snr_db)) + (math.log(0.25) if name == "ber" else 0.0)
+                scale, value, bound = performance._lobe_expectation(a, s0, r / c, kernel)
+                peak, want = _lobe_oracle(a, s0, r / c, kernel[0])
+                got = value * math.exp(scale + sp.gammaln(a) - peak)
+                assert got == pytest.approx(want, rel=1e-8), (r, snr_db)
+                assert bound <= CERTIFY_RTOL * value, (r, snr_db)
+
+    @pytest.mark.parametrize("scalar, array, edges", [
+        (_ln_erfc_sqrt, performance._ln_erfc_sqrt_array, (709.0, math.log(1e5))),
+        (_ln_softplus, performance._ln_softplus_array, (-36.0, 36.0)),
+    ])
+    def test_array_kernel_equals_scalar(self, scalar, array, edges):
+        s = np.array([e + d for e in edges
+                      for d in (-0.5, -1e-6, -1e-12, 0.0, 1e-12, 1e-6, 0.5)])
+        s = np.concatenate([s, np.linspace(-40.0, 40.0, 81)])
+        got = array(s)
+        for si, gi in zip(s, got):
+            want = scalar(float(si))[0]
+            assert gi == want or abs(gi - want) <= 1e-13 * abs(want), si
 
 
 class TestAvgBerAsymptotic:

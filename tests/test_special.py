@@ -9,6 +9,7 @@ from uwoc.errors import ConvergenceError
 from uwoc.special import (
     FoxHSpec,
     QuadratureConfig,
+    _gauss_kronrod,
     adaptive_quad,
     fox_h,
 )
@@ -34,6 +35,42 @@ class TestAdaptiveQuad:
             QuadratureConfig(abs_tol=-1.0)
         with pytest.raises(ValueError):
             QuadratureConfig(max_subdivisions=0)
+
+
+class TestGaussKronrod:
+    def test_exact_on_polynomials(self):
+        # K15 integrates degree 22 exactly, so one panel certifies at once
+        est = _gauss_kronrod(lambda t: t**22 - 3.0 * t**5, [-1.0, 1.0])
+        assert est == pytest.approx(2.0 / 23.0, rel=1e-14)
+        assert est.error_bound <= 1e-10
+
+    def test_matches_quadpack_with_bound(self):
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
+        est = _gauss_kronrod(lambda t: np.exp(-t * t) * np.cos(3.0 * t), [-30.0, 0.0, 30.0], cfg)
+        want = math.sqrt(math.pi) * math.exp(-2.25)
+        assert abs(est - want) <= max(est.error_bound, 1e-15)
+        assert est.error_bound <= 1e-12 * want
+        assert est == pytest.approx(adaptive_quad(
+            lambda t: math.exp(-t * t) * math.cos(3.0 * t), -30.0, 30.0, cfg), rel=1e-12)
+
+    def test_panel_cap_raises_with_estimate(self):
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-14, max_subdivisions=8)
+        with pytest.raises(ConvergenceError) as err:
+            _gauss_kronrod(lambda t: np.sqrt(np.abs(t)), [-1.0, 1.0], cfg)
+        assert err.value.estimate == pytest.approx(4.0 / 3.0, rel=1e-3)
+        assert abs(err.value.estimate - 4.0 / 3.0) <= err.value.error_bound
+
+    def test_refines_panels_accepted_before_the_total_shrank(self):
+        # the first pass overestimates the negative peak on [1, 2], so the
+        # tolerance that accepts the panel on [0, 1] is too loose for the total
+        rate = math.log(3.0)
+        amp = 0.99 * rate / (0.01 * math.sqrt(math.pi))
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-8, max_subdivisions=400)
+        est = _gauss_kronrod(
+            lambda t: np.where(t < 1.0, 1.0 / (t + 0.5), -amp * np.exp(-((t - 1.5) / 0.01) ** 2)),
+            [0.0, 1.0, 2.0], cfg)
+        assert est == pytest.approx(0.01 * rate, rel=1e-12)
+        assert est.error_bound <= 1e-8 * est
 
 
 class TestFoxHSpec:
