@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .distributions import EggParams, MixtureModel, model_from_dict
 from .em import EmConfig, fit
-from .errors import ConvergenceError, DataError, FitFailureError, UwocError
+from .errors import UwocError
 from .gof import build_histogram, mse_cdf, r_square
 from .montecarlo import SimConfig, simulate_ber, simulate_capacity, simulate_outage
 from .performance import (
@@ -384,15 +384,9 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _UserError as exc:
+    except (_UserError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USER
-    except (DataError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USER
-    except (ConvergenceError, FitFailureError) as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
     except UwocError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

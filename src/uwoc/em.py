@@ -70,10 +70,9 @@ class EmConfig:
     """Knobs of the EM driver.
 
     ``epsilon`` bounds the largest absolute parameter change at convergence;
-    ``init_strategy`` is one of ``quantile_split`` (default: the exponential
-    lobe seeds from the lowest-intensity quintile, matching its physical role
-    as the blockage component), ``moments``, or ``user_supplied`` (requires
-    ``init_params``).  ``max_iters`` caps the EM maps (M-steps) of one
+    ``init_strategy`` is ``quantile_split`` (default: the exponential lobe
+    seeds from the lowest-intensity quintile, matching its physical role as
+    the blockage component) or ``user_supplied`` (requires ``init_params``).  ``max_iters`` caps the EM maps (M-steps) of one
     restart.
     """
 
@@ -89,7 +88,7 @@ class EmConfig:
             raise ValueError("epsilon must be positive")
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.init_strategy not in ("quantile_split", "moments", "user_supplied"):
+        if self.init_strategy not in ("quantile_split", "user_supplied"):
             raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
         if self.init_strategy == "user_supplied" and self.init_params is None:
             raise ValueError("user_supplied initialization requires init_params")
@@ -412,16 +411,12 @@ def _initial_params(samples, variant, cfg: EmConfig):
             )
         return cfg.init_params
 
-    if cfg.init_strategy == "quantile_split":
-        split = np.quantile(samples, 0.2)
-        low = samples[samples <= split]
-        high = samples[samples > split]
-        if low.size == 0 or high.size == 0:
-            low = high = samples
-        omega, lam = 0.2, float(low.mean())
-    else:  # moments
-        high = samples
-        omega, lam = 0.5, float(samples.mean())
+    split = np.quantile(samples, 0.2)
+    low = samples[samples <= split]
+    high = samples[samples > split]
+    if low.size == 0 or high.size == 0:
+        low = high = samples
+    omega, lam = 0.2, float(low.mean())
 
     if variant == "egg":
         a, b = _gg_moment_init(high)

@@ -14,6 +14,12 @@ The route needs numpy and ``scipy.special`` only.  The paper's Fox H closed
 forms stay available as ``method='foxh'`` (QUADPACK through
 ``scipy.integrate``), and every metric has a high-SNR asymptote in
 elementary functions.
+
+The exponential lobe omega/lambda e^(-I/lambda) is the Generalized Gamma
+lobe GG(a = 1, b = lambda, c = 1), so every closed form, asymptote and the
+quadrature route evaluate one GG-lobe term per lobe present (see
+:func:`_lobes`); there is no separate exponential formula and no Meijer G
+special case for c = 1.
 """
 
 from __future__ import annotations
@@ -67,7 +73,6 @@ _QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-8, max_subdivisions=400)
 _BREAK_LADDER = np.concatenate([-(2.0 ** np.arange(7, -1, -1)), [0.0], 2.0 ** np.arange(8)])
 _FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-10, max_subdivisions=64)
 
-_EXP_LO = -745.0
 _SQRT_PI = math.sqrt(math.pi)
 
 
@@ -156,9 +161,6 @@ class Modulation:
     def label(self):
         return self.scheme if self.m is None else f"{self.m}-{self.scheme[1:].upper()}"
 
-    def params(self):
-        return modulation_params(self)
-
 
 def modulation_params(modulation: Modulation):
     """Expand a scheme to its (delta, p, q list, n_terms) kernel parameters."""
@@ -226,6 +228,25 @@ class LinkBudget:
         return self.mode.r
 
 
+def _lobes(params: EggParams):
+    """(ln weight, a, ln b, c) of each lobe whose weight is at least
+    ``WEIGHT_EPS``; the exponential lobe is GG(1, lambda, 1)."""
+    lobes = []
+    if params.omega >= WEIGHT_EPS:
+        lobes.append((math.log(params.omega), 1.0, math.log(params.lam), 1.0))
+    if 1.0 - params.omega >= WEIGHT_EPS:
+        lobes.append((math.log1p(-params.omega), params.a, math.log(params.b), params.c))
+    return lobes
+
+
+def _exp(x):
+    """e^x, or inf where it exceeds the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
 # ---------------------------------------------------------------------------
 # SNR distribution
 # ---------------------------------------------------------------------------
@@ -252,33 +273,32 @@ def snr_cdf(link: LinkBudget, gamma):
 
 
 def snr_cdf_asymptotic(link: LinkBudget, gamma):
-    """High-SNR approximation of the SNR CDF (tight for gamma << mu_r)."""
+    """High-SNR approximation of the SNR CDF (tight for gamma << mu_r).
+
+    Each lobe contributes w (gamma / (b^r mu_r))^(ac/r) / Gamma(a + 1); a
+    term beyond the double range gives inf.
+    """
     arr = np.asarray(gamma, dtype=float)
-    p = link.params
-    r, mu = link.r, link.mu_r
-    om = p.effective_weight
-    first = (om / p.lam) * (arr / mu) ** (1.0 / r)
-    with np.errstate(divide="ignore"):
-        expo = (p.a * p.c / r) * (np.log(arr) - r * math.log(p.b) - math.log(mu))
-    second = np.exp(np.maximum(expo, _EXP_LO) - sp.gammaln(p.a + 1.0)) * (1.0 - om)
-    out = first + second
+    r = link.r
+    out = 0.0
+    with np.errstate(divide="ignore", over="ignore"):
+        log_x = np.log(arr) - math.log(link.mu_r)
+        for log_w, a, log_b, c in _lobes(link.params):
+            out = out + np.exp(log_w - sp.gammaln(a + 1.0) + (a * c / r) * (log_x - r * log_b))
     return float(out) if np.ndim(gamma) == 0 else out
 
 
 def snr_moment(link: LinkBudget, n):
-    """E[gamma^n] in closed form."""
+    """E[gamma^n] in closed form: each lobe contributes
+    w Gamma(rn/c + a) / Gamma(a) (b^r mu_r)^n, inf beyond the double range."""
     if n < 1 or n != int(n):
         raise ValueError("moment order must be a positive integer")
     n = int(n)
-    p = link.params
-    r, mu = link.r, link.mu_r
-    first = p.omega * (p.lam**r * mu) ** n * math.gamma(r * n + 1)
-    second = (
-        (1.0 - p.omega)
-        * (p.b**r * mu) ** n
-        * math.exp(sp.gammaln(r * n / p.c + p.a) - sp.gammaln(p.a))
+    r, log_mu = link.r, math.log(link.mu_r)
+    return sum(
+        _exp(log_w + n * (r * log_b + log_mu) + sp.gammaln(r * n / c + a) - sp.gammaln(a))
+        for log_w, a, log_b, c in _lobes(link.params)
     )
-    return first + second
 
 
 def outage(link: LinkBudget):
@@ -441,12 +461,7 @@ def _certified_expectation(link: LinkBudget, terms, kernel):
     :class:`Estimate`, which is 0.0 or subnormal when the value lies below
     the double range, or raises :class:`ConvergenceError`.
     """
-    p, r = link.params, link.r
-    lobes = []
-    if p.omega >= WEIGHT_EPS:
-        lobes.append((math.log(p.omega), 1.0, math.log(p.lam), 1.0))
-    if 1.0 - p.omega >= WEIGHT_EPS:
-        lobes.append((math.log1p(-p.omega), p.a, math.log(p.b), p.c))
+    r, lobes = link.r, _lobes(link.params)
     parts = []
     for log_w, s in terms:
         for log_weight, a, log_b, c in lobes:
@@ -492,17 +507,9 @@ def capacity_quadrature(link: LinkBudget):
 
 
 # ---------------------------------------------------------------------------
-# Closed forms (Fox H / Meijer G routes)
+# Closed forms (Fox H route): one GG-lobe term per lobe, the exponential lobe
+# as GG(1, lambda, 1), so c = 1 needs no Meijer G special case
 # ---------------------------------------------------------------------------
-
-@lru_cache(maxsize=256)
-def _ber_spec_exp(p, r_inv):
-    return FoxHSpec(
-        m=1, n=2, p=2, q=2,
-        upper_params=((1.0, 1.0), (1.0 - p, r_inv)),
-        lower_params=((1.0, 1.0), (0.0, 1.0)),
-    )
-
 
 @lru_cache(maxsize=256)
 def _ber_spec_gg(p, a, cr):
@@ -510,26 +517,6 @@ def _ber_spec_gg(p, a, cr):
         m=1, n=2, p=2, q=2,
         upper_params=((1.0, 1.0), (1.0 - p, cr)),
         lower_params=((a, 1.0), (0.0, 1.0)),
-    )
-
-
-@lru_cache(maxsize=256)
-def _ber_spec_meijer(p, x, r):
-    # G^{r,2}_{2,r+1}[z | 1, 1-p ; x/r, ..., (x+r-1)/r, 0]
-    lower = tuple(((x + j) / r, 1.0) for j in range(r)) + ((0.0, 1.0),)
-    return FoxHSpec(
-        m=r, n=2, p=2, q=r + 1,
-        upper_params=((1.0, 1.0), (1.0 - p, 1.0)),
-        lower_params=lower,
-    )
-
-
-@lru_cache(maxsize=256)
-def _cap_spec_exp(r_inv):
-    return FoxHSpec(
-        m=2, n=1, p=1, q=2,
-        upper_params=((0.0, r_inv),),
-        lower_params=((0.0, 1.0), (0.0, r_inv)),
     )
 
 
@@ -551,53 +538,27 @@ def _check_compat(link: LinkBudget, modulation: Modulation):
 
 
 def _avg_ber_foxh(link: LinkBudget, modulation: Modulation, cfg=_FOXH_QUAD):
-    """Exact BER via the Fox H closed form (Meijer G route when c = 1)."""
-    p_ = link.params
+    """Exact BER via the Fox H closed form."""
     delta, p, q, _ = modulation_params(modulation)
-    r, mu = link.r, link.mu_r
-    omega, lam, a, b, c = p_.omega, p_.lam, p_.a, p_.b, p_.c
-    reduced = c == 1.0
-    log_2pi_term = ((r - 1) / 2.0) * math.log(2.0 * math.pi)
+    r, log_mu = link.r, math.log(link.mu_r)
     total = 0.0
     for qk in q:
-        term = 0.0
-        if omega >= WEIGHT_EPS:
-            if reduced:
-                spec = _ber_spec_meijer(p, 1.0, r)
-                log_z = -(math.log(qk) + r * math.log(r * lam) + math.log(mu))
-                log_pref = 0.5 * math.log(r) - log_2pi_term
-            else:
-                spec = _ber_spec_exp(p, 1.0 / r)
-                log_z = -math.log(lam) - (math.log(qk) + math.log(mu)) / r
-                log_pref = 0.0
-            term += omega * fox_h_ln(spec, log_z, cfg, log_prefactor=log_pref)
-        if 1.0 - omega >= WEIGHT_EPS:
-            if reduced:
-                spec = _ber_spec_meijer(p, a, r)
-                log_z = -(math.log(qk) + r * math.log(r * b) + math.log(mu))
-                log_pref = (a - 0.5) * math.log(r) - log_2pi_term - sp.gammaln(a)
-            else:
-                spec = _ber_spec_gg(p, a, c / r)
-                log_z = -c * math.log(b) - (c / r) * (math.log(qk) + math.log(mu))
-                log_pref = -sp.gammaln(a)
-            term += (1.0 - omega) * fox_h_ln(spec, log_z, cfg, log_prefactor=log_pref)
-        total += term
+        for log_w, a, log_b, c in _lobes(link.params):
+            log_z = -c * log_b - (c / r) * (math.log(qk) + log_mu)
+            total += math.exp(log_w) * fox_h_ln(
+                _ber_spec_gg(p, a, c / r), log_z, cfg, log_prefactor=-sp.gammaln(a)
+            )
     return 0.5 * delta * math.exp(-sp.gammaln(p)) * total
 
 
 def _capacity_foxh(link: LinkBudget, cfg=_FOXH_QUAD):
     """Exact ergodic capacity via the Fox H closed form, in nats."""
-    p_ = link.params
-    r, mu = link.r, link.mu_r
-    omega, lam, a, b, c = p_.omega, p_.lam, p_.a, p_.b, p_.c
-    log_tau_mu = math.log(CAPACITY_TAU) + math.log(mu)
+    r = link.r
+    log_tau_mu = math.log(CAPACITY_TAU) + math.log(link.mu_r)
     total = 0.0
-    if omega >= WEIGHT_EPS:
-        log_z = -math.log(lam) - log_tau_mu / r
-        total += omega * fox_h_ln(_cap_spec_exp(1.0 / r), log_z, cfg)
-    if 1.0 - omega >= WEIGHT_EPS:
-        log_z = -c * math.log(b) - (c / r) * log_tau_mu
-        total += (1.0 - omega) * fox_h_ln(
+    for log_w, a, log_b, c in _lobes(link.params):
+        log_z = -c * log_b - (c / r) * log_tau_mu
+        total += math.exp(log_w) * fox_h_ln(
             _cap_spec_gg(a, c / r), log_z, cfg, log_prefactor=-sp.gammaln(a)
         )
     return total
@@ -643,36 +604,29 @@ def ergodic_capacity(link: LinkBudget, method="quadrature"):
 # ---------------------------------------------------------------------------
 
 def avg_ber_asymptotic(link: LinkBudget, modulation: Modulation):
-    """Elementary-function BER approximation, tight as mu_r grows."""
+    """Elementary-function BER approximation, tight as mu_r grows.
+
+    Each lobe contributes w Gamma(p + ac/r) / Gamma(a + 1) (b^r q_k mu_r)^(-ac/r)
+    to the k-th kernel term; a term beyond the double range gives inf.
+    """
     _check_compat(link, modulation)
-    p_ = link.params
     delta, p, q, _ = modulation_params(modulation)
-    r, mu = link.r, link.mu_r
-    omega, lam, a, b, c = p_.effective_weight, p_.lam, p_.a, p_.b, p_.c
+    r, log_mu = link.r, math.log(link.mu_r)
     total = 0.0
     for qk in q:
-        first = omega * math.gamma(p + 1.0 / r) * math.exp(
-            -(r * math.log(lam) + math.log(qk) + math.log(mu)) / r
-        )
-        second = math.exp(
-            sp.gammaln(p + a * c / r)
-            - sp.gammaln(a + 1.0)
-            + max(-(a * c / r) * (r * math.log(b) + math.log(qk) + math.log(mu)), _EXP_LO)
-        ) * (1.0 - omega)
-        total += first + second
+        for log_w, a, log_b, c in _lobes(link.params):
+            x = a * c / r
+            total += _exp(
+                log_w + sp.gammaln(p + x) - sp.gammaln(a + 1.0)
+                - x * (r * log_b + math.log(qk) + log_mu)
+            )
     return 0.5 * delta * math.exp(-sp.gammaln(p)) * total
 
 
 def capacity_asymptotic(link: LinkBudget):
     """Moments-method capacity approximation at high SNR, in nats."""
-    p_ = link.params
-    r, mu = link.r, link.mu_r
-    omega, lam, a, b, c = p_.omega, p_.lam, p_.a, p_.b, p_.c
+    r, log_mu = link.r, math.log(link.mu_r)
     out = math.log(CAPACITY_TAU)
-    if omega >= WEIGHT_EPS:
-        out += omega * (r * math.log(lam) + math.log(mu) + r * sp.digamma(1.0))
-    if 1.0 - omega >= WEIGHT_EPS:
-        out += (1.0 - omega) * (
-            r * math.log(b) + math.log(mu) + (r / c) * sp.digamma(a)
-        )
+    for log_w, a, log_b, c in _lobes(link.params):
+        out += math.exp(log_w) * (r * log_b + log_mu + (r / c) * sp.digamma(a))
     return out

@@ -1,7 +1,9 @@
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -180,6 +182,16 @@ class TestPerf:
         lines = capsys.readouterr().out.splitlines()
         asym = [line for line in lines if line.endswith("asymptotic")]
         assert float(asym[0].split(",")[1]) == pytest.approx(12.3799, rel=0.002)
+
+    def test_overflowing_asymptote_prints_inf(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run(["perf", "ber", "--params", "0.2324,0.3831,393.5944,0.0030,1",
+                        "--detection", "imdd", "--modulation", "ook",
+                        "--snr-db=-10:20:10", "--asymptotic"]) == 0
+        rows = [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        asym = [float(r[1]) for r in rows if r[2] == "asymptotic"]
+        assert len(asym) == 4 and math.inf in asym
 
     def test_modulation_detection_conflict(self):
         assert run(["perf", "ber", "--params", SALTY165, "--detection", "imdd",

@@ -20,6 +20,7 @@ from uwoc.performance import (
     LinkBudget,
     Modulation,
     _avg_ber_foxh,
+    _capacity_foxh,
     _ln_erfc_sqrt,
     _ln_softplus,
     avg_ber,
@@ -248,35 +249,23 @@ class TestAvgBer:
             assert avg_ber(link, ook, method="quadrature") == pytest.approx(want, rel=0.05)
 
     def test_foxh_matches_quadrature(self):
-        # every preset row; in the deep tail of the *-0lpm rows the contour
-        # integral loses digits (1.36e-100 against mpmath's 5.72e-100 on
-        # salty-0lpm OOK 30 dB), so there TestReferenceTable checks instead
+        # every preset row, EGG and EG (c = 1); in the deep tail of the
+        # *-0lpm rows the contour integral loses digits (1.36e-100 against
+        # mpmath's 5.72e-100 on salty-0lpm OOK 30 dB), so there
+        # TestReferenceTable checks instead
         for row in ALL_CONDITIONS:
-            for snr_db in (10.0, 30.0, 50.0):
-                if row.label in ("salty-0lpm", "fresh-0lpm") and snr_db >= 30.0:
-                    continue
-                for mode, modulation in ((IMDD, Modulation.ook()), (HETERODYNE, Modulation.bpsk())):
-                    link = LinkBudget(row.egg, mode, db(snr_db))
-                    assert_crosscheck(
-                        lambda: avg_ber_quadrature(link, modulation),
-                        lambda: _avg_ber_foxh(link, modulation),
-                        (row.label, mode.name, snr_db),
-                    )
-
-    def test_shape_one_reduced_equals_general(self):
-        # at c = 1 the closed form routes through the unit-coefficient Meijer
-        # specs; nudging c off 1 exercises the general route instead
-        ook = Modulation.ook()
-        bpsk = Modulation.bpsk()
-        for cond_label in ("23.6lpm-0.22C", "salty-16.5lpm"):
-            eg = condition(cond_label).eg
-            exact = eg.as_egg()
-            nudged = EggParams(exact.omega, exact.lam, exact.a, exact.b,
-                               math.nextafter(1.0, 2.0))
-            for mode, modulation in ((IMDD, ook), (HETERODYNE, bpsk)):
-                reduced = _avg_ber_foxh(LinkBudget(exact, mode, db(35.0)), modulation)
-                general = _avg_ber_foxh(LinkBudget(nudged, mode, db(35.0)), modulation)
-                assert general == pytest.approx(reduced, rel=1e-9)
+            for params in (row.egg, row.eg.as_egg()):
+                for snr_db in (10.0, 30.0, 50.0):
+                    if row.label in ("salty-0lpm", "fresh-0lpm") and snr_db >= 30.0:
+                        continue
+                    for mode, modulation in ((IMDD, Modulation.ook()),
+                                             (HETERODYNE, Modulation.bpsk())):
+                        link = LinkBudget(params, mode, db(snr_db))
+                        assert_crosscheck(
+                            lambda: avg_ber_quadrature(link, modulation),
+                            lambda: _avg_ber_foxh(link, modulation),
+                            (row.label, params.c, mode.name, snr_db),
+                        )
 
     def test_monotone_decreasing_bpsk(self):
         bpsk = Modulation.bpsk()
@@ -550,6 +539,24 @@ class TestAvgBerAsymptotic:
         asym = avg_ber_asymptotic(link, Modulation.ook())
         assert asym / exact == pytest.approx(1.0, abs=0.01)
 
+    def test_overflow_gives_inf(self):
+        # a = 393.6, c = 1: the GG term far exceeds the double range at -10 dB
+        link = LinkBudget(condition("2.4lpm-0.05C").eg.as_egg(), IMDD, db(-10.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert avg_ber_asymptotic(link, Modulation.ook()) == math.inf
+            assert snr_cdf_asymptotic(link, 1.0) == math.inf
+
+    @pytest.mark.parametrize("mode,modulation,snr_db,want", [
+        (HETERODYNE, Modulation.bpsk(), 30.0, 4.863738367981e-273),
+        (IMDD, Modulation.ook(), 40.0, 8.291076030983e-234),
+    ])
+    def test_deep_tail_of_fresh_0lpm(self, mode, modulation, snr_db, want):
+        # ln Gamma(p + ac/r) ~ 1e3 and the SNR factor ~ -2e3 cancel in the
+        # exponent; the asymptote must follow the reference BER down there
+        link = LinkBudget(condition("fresh-0lpm").egg, mode, db(snr_db))
+        assert avg_ber_asymptotic(link, modulation) == pytest.approx(want, rel=1e-3, abs=0.0)
+
 
 class TestErgodicCapacity:
     def test_figure_anchor_30db(self):
@@ -569,18 +576,40 @@ class TestErgodicCapacity:
 
     def test_foxh_matches_quadrature(self):
         for row in ALL_CONDITIONS:
-            for mode in (IMDD, HETERODYNE):
-                link = LinkBudget(row.egg, mode, db(30.0))
-                assert_crosscheck(
-                    lambda: capacity_quadrature(link),
-                    lambda: ergodic_capacity(link, method="foxh"),
-                    (row.label, mode.name),
-                )
+            for params in (row.egg, row.eg.as_egg()):
+                for mode in (IMDD, HETERODYNE):
+                    link = LinkBudget(params, mode, db(30.0))
+                    assert_crosscheck(
+                        lambda: capacity_quadrature(link),
+                        lambda: ergodic_capacity(link, method="foxh"),
+                        (row.label, params.c, mode.name),
+                    )
 
     def test_monotone_in_snr(self):
         vals = [ergodic_capacity(LinkBudget(ROW1, IMDD, db(s)), method="quadrature")
                 for s in np.linspace(5, 60, 20)]
         assert np.all(np.diff(vals) > 0.0)
+
+
+class TestExponentialLobe:
+    """A pure exponential lobe, GG(1, lambda, 1), against elementary closed
+    forms: with m = lambda mu the heterodyne SNR is exponential with mean m,
+    so the BPSK BER is 1 / (2 sqrt(1 + m) (sqrt(1 + m) + sqrt(m))) and the
+    capacity is e^x E1(x) with x = 1 / (tau m)."""
+
+    @pytest.mark.parametrize("lam", [0.12, 0.4, 1.0])
+    def test_closed_forms_match_elementary(self, lam):
+        bpsk = Modulation.bpsk()
+        for snr_db in range(-10, 81, 10):
+            link = LinkBudget(EggParams(1.0, lam, 1.0, 1.0, 1.0), HETERODYNE, db(snr_db))
+            m = lam * link.mu_r
+            ber = 0.5 / (math.sqrt(1.0 + m) * (math.sqrt(1.0 + m) + math.sqrt(m)))
+            x = 1.0 / (CAPACITY_TAU * m)
+            capacity = math.exp(x) * sp.exp1(x)
+            for got in (_avg_ber_foxh(link, bpsk), float(avg_ber_quadrature(link, bpsk))):
+                assert got == pytest.approx(ber, rel=1e-10, abs=0.0), (lam, snr_db)
+            for got in (_capacity_foxh(link), float(capacity_quadrature(link))):
+                assert got == pytest.approx(capacity, rel=1e-10, abs=0.0), (lam, snr_db)
 
 
 class TestCapacityAsymptotic:
