@@ -6,7 +6,7 @@ how quickly the elementary-function high-SNR approximation becomes exact.
 
 import numpy as np
 
-from uwoc import IMDD, LinkBudget, SimConfig, condition, simulate_capacity
+from uwoc import IMDD, LinkBudget, SimConfig, condition, simulate
 from uwoc.performance import capacity_asymptotic, ergodic_capacity
 
 CONDITIONS = ["2.4lpm-0.05C", "4.7lpm-0.05C", "16.5lpm-0.22C", "23.6lpm-0.22C"]
@@ -18,11 +18,11 @@ def main():
         cond = condition(label)
         print(f"\n{label} (sigma_I^2 = {cond.sigma2_egg})")
         print(f"{'snr_db':>7s} {'exact':>10s} {'asymptote':>10s} {'simulated':>10s}")
-        for snr_db in SNR_DB:
-            link = LinkBudget(cond.egg, IMDD, 10.0 ** (snr_db / 10.0))
+        links = [LinkBudget(cond.egg, IMDD, 10.0 ** (snr_db / 10.0)) for snr_db in SNR_DB]
+        sims = simulate(links, ["capacity"], SimConfig(n_samples=200_000, seed=5))["capacity"]
+        for snr_db, link, (sim, _) in zip(SNR_DB, links, sims):
             exact = ergodic_capacity(link)
             asym = capacity_asymptotic(link)
-            sim, _ = simulate_capacity(link, SimConfig(n_samples=200_000, seed=5))
             print(f"{snr_db:7.0f} {exact:10.4f} {asym:10.4f} {sim:10.4f}")
 
     print("\nnats per channel use; the asymptote is useless at low SNR (it goes")

@@ -3,7 +3,7 @@
 from .distributions import EggParams, EgParams, ExpLognormalParams, MixtureModel, model_from_dict
 from .em import EmConfig, FitReport, e_step, fit, log_likelihood, m_step_exp, m_step_gg, update_omega
 from .gof import Histogram, build_histogram, mse_cdf, r_square
-from .montecarlo import SimConfig, simulate_ber, simulate_capacity, simulate_outage
+from .montecarlo import SimConfig, simulate, simulate_ber, simulate_capacity, simulate_outage
 from .presets import ALL_CONDITIONS, GRADIENT_CONDITIONS, UNIFORM_CONDITIONS, ChannelCondition, condition
 from .errors import (
     ConvergenceError,

@@ -26,7 +26,7 @@ from .distributions import EggParams, MixtureModel, model_from_dict
 from .em import EmConfig, fit
 from .errors import UwocError
 from .gof import build_histogram, mse_cdf, r_square
-from .montecarlo import SimConfig, simulate_ber, simulate_capacity, simulate_outage
+from .montecarlo import SimConfig, simulate
 from .performance import (
     DetectionMode,
     LinkBudget,
@@ -71,34 +71,41 @@ def _emit(path, text):
 def read_samples(path):
     """Parse a sample file: one positive value per line, '#' comments, and
     an optional single 'irradiance' header line."""
-    values = []
     try:
         with open(path) as handle:
-            lines = handle.readlines()
+            lines = handle.read().rstrip("\n").split("\n")
     except OSError as exc:
         raise _UserError(f"cannot read {path}: {exc}") from exc
-    for lineno, raw in enumerate(lines, start=1):
-        text = raw.strip()
-        if not text or text.startswith("#"):
-            continue
-        if text.lower() == "irradiance" and not values:
-            continue
-        try:
-            value = float(text)
-        except ValueError as exc:
-            raise _UserError(f"{path}:{lineno}: not a number: {text!r}") from exc
-        if not (value > 0 and math.isfinite(value)):
-            raise _UserError(f"{path}:{lineno}: irradiance must be positive, got {text}")
-        values.append(value)
-    if not values:
+    # one vectorized parse of a plain file; any other file is read line by line
+    start = 1 if lines[0].strip().lower() == "irradiance" else 0
+    try:
+        values = np.array(lines[start:], dtype=float)
+    except ValueError:
+        values = None
+    if values is None or not np.all((values > 0) & (values < math.inf)):
+        values = []
+        for lineno, raw in enumerate(lines, start=1):
+            text = raw.strip()
+            if not text or text.startswith("#"):
+                continue
+            if text.lower() == "irradiance" and not values:
+                continue
+            try:
+                value = float(text)
+            except ValueError as exc:
+                raise _UserError(f"{path}:{lineno}: not a number: {text!r}") from exc
+            if not (value > 0 and math.isfinite(value)):
+                raise _UserError(f"{path}:{lineno}: irradiance must be positive, got {text}")
+            values.append(value)
+        values = np.asarray(values, dtype=float)
+    if not values.size:
         raise _UserError(f"{path}: no samples found")
-    return np.asarray(values)
+    return values
 
 
 def write_samples(path, values):
-    lines = ["irradiance"]
-    lines.extend(format(v, ".12g") for v in values)
-    _emit(path, "\n".join(lines) + "\n")
+    values = np.asarray(values, dtype=float).tolist()
+    _emit(path, "irradiance\n" + ("%.12g\n" * len(values)) % tuple(values))
 
 
 def _input_digest(path):
@@ -285,16 +292,10 @@ def cmd_simulate(args):
     mode = DetectionMode.parse(args.detection)
     modulation = _build_modulation(args, mode)
     cfg = SimConfig(n_samples=args.samples, seed=args.seed)
-    rows = []
-    for snr_db in _parse_grid(args.snr_db):
-        link = LinkBudget(params, mode, 10.0 ** (snr_db / 10.0), args.gamma_th)
-        if args.metric == "outage":
-            est, se = simulate_outage(link, cfg)
-        elif args.metric == "ber":
-            est, se = simulate_ber(link, modulation, cfg)
-        else:
-            est, se = simulate_capacity(link, cfg)
-        rows.append((snr_db, est, "simulated", se))
+    grid = _parse_grid(args.snr_db)
+    links = [LinkBudget(params, mode, 10.0 ** (snr_db / 10.0), args.gamma_th) for snr_db in grid]
+    estimates = simulate(links, [args.metric], cfg, modulation)[args.metric]
+    rows = [(snr_db, est, "simulated", se) for snr_db, (est, se) in zip(grid, estimates)]
     _emit(args.output, _curve_text(rows, with_se=True))
     return EXIT_OK
 

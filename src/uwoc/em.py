@@ -11,7 +11,9 @@ J. Stat. 35:335, 2008) accelerates the EM maps of every variant.
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Optional
@@ -617,7 +619,9 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     Runs ``cfg.restarts`` independent EM chains (the first from the plain
     initialization, later ones from jittered copies), and returns the
     :class:`FitReport` with the highest final log-likelihood, ties broken by
-    the lowest restart index, with every restart's diagnostics.
+    the lowest restart index, with every restart's diagnostics.  The chains
+    run concurrently, one thread per core, and are read in restart order, so
+    the report has the same floats as chains run one after another.
     """
     if variant not in ("egg", "eg", "explognormal"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -630,14 +634,19 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
             stacklevel=2,
         )
 
+    from concurrent.futures import ThreadPoolExecutor  # here, not at start-up: only a fit needs it
     base_init = _initial_params(arr, variant, cfg)
+    seeds = [np.random.SeedSequence(cfg.seed, spawn_key=(k,)) for k in range(1, cfg.restarts)]
+    inits = [base_init] + [_perturb(base_init, np.random.default_rng(seed)) for seed in seeds]
     best = None
     diagnostics = []
-    for k in range(cfg.restarts):
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
-        init = base_init if k == 0 else _perturb(base_init, rng)
+    with ThreadPoolExecutor(min(cfg.restarts, os.cpu_count() or 1)) as pool:
+        # each chain runs in a copy of the caller's context, which carries np.errstate
+        chains = [pool.submit(contextvars.copy_context().run, _em_once, arr, log_i, variant, cfg, init)
+                  for init in inits]
+    for k, chain in enumerate(chains):
         try:
-            params, resp, trace, run = _em_once(arr, log_i, variant, cfg, init)
+            params, resp, trace, run = chain.result()
         except DegenerateComponentError as exc:
             diagnostics.append({"restart": k, "error": str(exc)})
             continue

@@ -1,9 +1,10 @@
 """Monte-Carlo estimators for the link metrics, the simulation oracle.
 
 Draws fading realizations in fixed-size chunks, each from an independent
-substream keyed by (seed, chunk index), and merges the chunks' means and
-squared deviations in chunk order, so estimates are bit-identical for a
-given configuration regardless of how the chunks are executed.
+substream keyed by (seed, chunk index).  One draw of a chunk serves every SNR
+point and metric of a call, and the chunks' means and squared deviations
+merge in chunk order, so each estimate is bit-identical to a run of its point
+alone, however the chunks are executed.
 
 The BER estimator averages the conditional error probability of each draw
 (the kernel the analytic expression integrates) instead of simulating bit
@@ -26,7 +27,7 @@ from .performance import (
     modulation_params,
 )
 
-__all__ = ["SimConfig", "simulate_outage", "simulate_ber", "simulate_capacity"]
+__all__ = ["SimConfig", "simulate", "simulate_outage", "simulate_ber", "simulate_capacity"]
 
 
 @dataclass(frozen=True)
@@ -51,53 +52,65 @@ def _chunk_rng(cfg: SimConfig, index):
     return np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(index,)))
 
 
-def _accumulate(link: LinkBudget, cfg: SimConfig, stat):
-    """Mean of stat(gamma_draws) over all chunks, with its standard error.
+def simulate(links, metrics, cfg: SimConfig = SimConfig(), modulation: Modulation | None = None):
+    """Mean and SE of each metric at each link, from one pass over the draws.
 
-    Chunks merge by Chan's parallel update of (n, mean, M2), which keeps the
+    The links share ``params`` and ``r``; ``metrics`` are among "outage",
+    "ber" (with ``modulation``) and "capacity".  Each chunk is drawn and raised
+    to I^r once, and each (metric, link) statistic merges into its own
+    accumulator by Chan's parallel update of (n, mean, M2), which keeps the
     variance exact when it is small against the squared mean.
+    Returns {metric: [(mean, se) of each link]}.
     """
-    r, mu = link.r, link.mu_r
+    stats = {
+        "outage": lambda link, g: (g < link.gamma_th).astype(float),
+        "ber": lambda link, g: _ber_kernel(g, modulation),
+        "capacity": lambda link, g: np.log1p(CAPACITY_TAU * g),
+    }
+    if not links or any(link.params != links[0].params or link.r != links[0].r for link in links):
+        raise ValueError("simulate needs one or more links with the same params and r")
+    if not set(metrics) <= set(stats) or ("ber" in metrics and modulation is None):
+        raise ValueError(f"metrics must be among {sorted(stats)}, ber with a modulation: {metrics!r}")
+    for link in links if "ber" in metrics else ():
+        _check_compat(link, modulation)
     n = 0
-    mean = 0.0
-    m2 = 0.0
+    acc = {(metric, j): (0.0, 0.0) for metric in metrics for j in range(len(links))}
     for index, size in enumerate(_chunk_sizes(cfg)):
-        rng = _chunk_rng(cfg, index)
-        gamma = mu * link.params.sample(rng, size) ** r
-        values = stat(gamma)
-        chunk_mean = float(values.mean())
-        centred = values - chunk_mean
-        delta = chunk_mean - mean
+        x = links[0].params.sample(_chunk_rng(cfg, index), size) ** links[0].r
         total = n + size
-        mean += delta * (size / total)
-        # a fixed-order sum: np.dot's order depends on the BLAS thread count
-        m2 += float(np.einsum("i,i->", centred, centred)) + delta * delta * n * size / total
+        for j, link in enumerate(links):
+            gamma = link.mu_r * x
+            for metric in metrics:
+                values = stats[metric](link, gamma)
+                chunk_mean = float(values.mean())
+                centred = values - chunk_mean
+                mean, m2 = acc[metric, j]
+                delta = chunk_mean - mean
+                mean += delta * (size / total)
+                # a fixed-order sum: np.dot's order depends on the BLAS thread count
+                m2 += float(np.einsum("i,i->", centred, centred)) + delta * delta * n * size / total
+                acc[metric, j] = mean, m2
         n = total
-    se = math.sqrt(m2 / n / n)
-    return mean, se
+    return {metric: [(acc[metric, j][0], math.sqrt(acc[metric, j][1] / n / n))
+                     for j in range(len(links))] for metric in metrics}
+
+
+def _ber_kernel(gamma, modulation):
+    """Conditional BER of each draw; p = 1/2 for every scheme, so Gamma(p, x)/Gamma(p) = erfc(sqrt(x))."""
+    delta, _, q, _ = modulation_params(modulation)
+    return 0.5 * delta * sum(sp.erfc(np.sqrt(qk * gamma)) for qk in q)
 
 
 def simulate_outage(link: LinkBudget, cfg: SimConfig = SimConfig()):
     """Fraction of draws with gamma below the link threshold, with its SE."""
-    th = link.gamma_th
-    return _accumulate(link, cfg, lambda g: (g < th).astype(float))
+    return simulate([link], ["outage"], cfg)["outage"][0]
 
 
 def simulate_ber(link: LinkBudget, modulation: Modulation, cfg: SimConfig = SimConfig()):
     """Average of the conditional BER kernel over fading draws, with its SE."""
-    _check_compat(link, modulation)
-    delta, _, q, _ = modulation_params(modulation)
-
-    def stat(gamma):
-        acc = np.zeros_like(gamma)
-        for qk in q:
-            # p = 1/2 for every scheme, and Gamma(1/2, x) / Gamma(1/2) = erfc(sqrt(x))
-            acc += sp.erfc(np.sqrt(qk * gamma))
-        return 0.5 * delta * acc
-
-    return _accumulate(link, cfg, stat)
+    return simulate([link], ["ber"], cfg, modulation)["ber"][0]
 
 
 def simulate_capacity(link: LinkBudget, cfg: SimConfig = SimConfig()):
     """Mean of ln(1 + tau gamma) over fading draws, with its SE."""
-    return _accumulate(link, cfg, lambda g: np.log1p(CAPACITY_TAU * g))
+    return simulate([link], ["capacity"], cfg)["capacity"][0]

@@ -279,6 +279,8 @@ def snr_cdf_asymptotic(link: LinkBudget, gamma):
     term beyond the double range gives inf.
     """
     arr = np.asarray(gamma, dtype=float)
+    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        raise ValueError("gamma must be non-negative and finite")
     r = link.r
     out = 0.0
     with np.errstate(divide="ignore", over="ignore"):
@@ -291,7 +293,7 @@ def snr_cdf_asymptotic(link: LinkBudget, gamma):
 def snr_moment(link: LinkBudget, n):
     """E[gamma^n] in closed form: each lobe contributes
     w Gamma(rn/c + a) / Gamma(a) (b^r mu_r)^n, inf beyond the double range."""
-    if n < 1 or n != int(n):
+    if not (n >= 1 and math.isfinite(n) and n == int(n)):
         raise ValueError("moment order must be a positive integer")
     n = int(n)
     r, log_mu = link.r, math.log(link.mu_r)

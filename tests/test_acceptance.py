@@ -14,7 +14,7 @@ from scipy import special as sp
 from uwoc.distributions import EggParams
 from uwoc.em import EmConfig, fit
 from uwoc.gof import build_histogram, mse_cdf, r_square
-from uwoc.montecarlo import SimConfig, simulate_ber, simulate_capacity, simulate_outage
+from uwoc.montecarlo import SimConfig, simulate
 from uwoc.performance import (
     HETERODYNE,
     IMDD,
@@ -179,8 +179,11 @@ def test_criterion_8_oracle_triangle():
     n_mc = 10_000_000
     for cond in ALL_CONDITIONS:
         egg = cond.egg
-        for snr_db in (10.0, 30.0, 50.0):
-            link = LinkBudget(egg, IMDD, db(snr_db))
+        snrs_db = (10.0, 30.0, 50.0)
+        links = [LinkBudget(egg, IMDD, db(snr_db)) for snr_db in snrs_db]
+        # one pass over the draws serves the row's 3 SNRs x 3 metrics
+        sims = simulate(links, ("outage", "ber", "capacity"), SimConfig(n_samples=n_mc, seed=1234), ook)
+        for j, (snr_db, link) in enumerate(zip(snrs_db, links)):
             tag = f"{cond.label}@{snr_db:.0f}dB"
 
             p_formula = snr_cdf(link, 1.0)
@@ -198,15 +201,14 @@ def test_criterion_8_oracle_triangle():
             if abs(c_formula - c_quad) > 1e-6 * max(abs(c_formula), abs(c_quad)):
                 failures.append(f"{tag} capacity formula/quad: {c_formula:.6e} vs {c_quad:.6e}")
 
-            cfg = SimConfig(n_samples=n_mc, seed=1234)
-            est, se = simulate_outage(link, cfg)
+            est, se = sims["outage"][j]
             se_floor = math.sqrt(max(p_formula * (1 - p_formula), 0.0) / n_mc)
             if abs(est - p_formula) > 3.0 * max(se, se_floor) + 1e-250:
                 failures.append(f"{tag} outage MC: {est:.6e} vs {p_formula:.6e} (se {se:.2e})")
-            est, se = simulate_ber(link, ook, cfg)
+            est, se = sims["ber"][j]
             if abs(est - b_quad) > 3.0 * se + 1e-12:
                 failures.append(f"{tag} BER MC: {est:.6e} vs {b_quad:.6e} (se {se:.2e})")
-            est, se = simulate_capacity(link, cfg)
+            est, se = sims["capacity"][j]
             if abs(est - c_quad) > 3.0 * se + 1e-12:
                 failures.append(f"{tag} capacity MC: {est:.6e} vs {c_quad:.6e} (se {se:.2e})")
     report("criterion 8: oracle triangle (18 rows x 3 SNRs, 1e7 draws)", 600.0, t0, failures)

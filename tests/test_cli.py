@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uwoc.cli import main
+from uwoc.cli import main, read_samples
 from uwoc.distributions import model_from_dict
 from uwoc.presets import condition
 
@@ -125,6 +125,20 @@ class TestFit:
         bad.write_text("irradiance\n1.0\n-0.5\n2.0\n")
         assert run(["fit", "--input", str(bad)]) == 2
         assert ":3:" in capsys.readouterr().err
+
+    def test_sample_file_errors_name_their_line(self, tmp_path, capsys):
+        head = "# measured irradiance\n\nirradiance\n0.5\n"
+        bad = tmp_path / "bad.txt"
+        bad.write_text(head + "1.2x\n-3.0\n")
+        assert run(["fit", "--input", str(bad)]) == 2
+        assert ":5: not a number: '1.2x'" in capsys.readouterr().err
+        bad.write_text(head + "1.25\n-3.0\n")
+        assert run(["fit", "--input", str(bad)]) == 2
+        assert ":6: irradiance must be positive, got -3.0" in capsys.readouterr().err
+        good = tmp_path / "good.txt"
+        good.write_text(head + "1.25\n  2e-3 \n# tail\n")
+        values = read_samples(str(good))
+        assert values.dtype == float and values.tolist() == [0.5, 1.25, 2e-3]
 
     def test_eg_schema(self, tmp_path):
         samples = tmp_path / "eg.txt"

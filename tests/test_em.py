@@ -445,23 +445,59 @@ class TestFit:
 
     def test_diagnostics_name_a_degenerate_restart(self, monkeypatch):
         data = ROW1.sample(np.random.default_rng(47), 5000)
+        cfg = EmConfig(epsilon=1e-3, restarts=3)
         em_once = em_module._em_once
-        calls = []
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+        second_init = em_module._perturb(em_module._initial_params(data, "egg", cfg), rng)
 
         def failing_second(*args):
-            calls.append(None)
-            if len(calls) == 2:
+            # restart 1 is the chain that starts from its jittered initialization
+            if args[-1] == second_init:
                 raise DegenerateComponentError("no mass")
             return em_once(*args)
 
         monkeypatch.setattr(em_module, "_em_once", failing_second)
-        report = fit(data, "egg", EmConfig(epsilon=1e-3, restarts=3))
+        report = fit(data, "egg", cfg)
         assert report.diagnostics[1] == {"restart": 1, "error": "no mass"}
         for k in (0, 2):
             diag = report.diagnostics[k]
             assert set(diag) == {"restart", "iterations", "extrapolations_accepted",
                                  "extrapolations_rejected", "converged", "loglik"}
             assert diag["restart"] == k and diag["iterations"] >= 1
+
+    def test_concurrent_restarts_equal_a_sequential_loop(self):
+        data = condition("23.6lpm-0.22C").egg.sample(np.random.default_rng(5), 20_000)
+        cfg = EmConfig(epsilon=1e-4, restarts=3, seed=2)
+        report = fit(data, "egg", cfg)
+        base = em_module._initial_params(data, "egg", cfg)
+        runs = []
+        for k in range(cfg.restarts):
+            rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
+            init = base if k == 0 else em_module._perturb(base, rng)
+            runs.append(em_module._em_once(data, np.log(data), "egg", cfg, init))
+        best = max(range(cfg.restarts), key=lambda k: runs[k][2][-1])  # first of equals
+        params, _, trace, run = runs[best]
+        assert report.restart_index == best
+        assert report.model == params
+        assert report.loglik_trace == trace
+        assert (report.iterations, report.converged) == (run["iterations"], run["converged"])
+        assert report.diagnostics == [
+            {"restart": k, **runs[k][3], "loglik": runs[k][2][-1]} for k in range(cfg.restarts)
+        ]
+
+    def test_restarts_run_under_the_callers_errstate(self, monkeypatch):
+        data = ROW1.sample(np.random.default_rng(48), 5000)
+        em_once = em_module._em_once
+        seen = []
+
+        def recording(*args):
+            seen.append(np.geterr()["divide"])
+            return em_once(*args)
+
+        monkeypatch.setattr(em_module, "_em_once", recording)
+        with np.errstate(divide="ignore"):  # the default is "warn"
+            fit(data, "egg", EmConfig(epsilon=1e-3, restarts=3))
+        assert seen == ["ignore"] * 3
 
     def test_same_floats_for_any_blas_thread_count(self):
         code = ("import numpy as np; from uwoc.em import EmConfig, fit; "

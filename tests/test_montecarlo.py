@@ -10,7 +10,7 @@ from scipy import special as sp
 
 from uwoc import montecarlo
 from uwoc.distributions import EggParams
-from uwoc.montecarlo import SimConfig, simulate_ber, simulate_capacity, simulate_outage
+from uwoc.montecarlo import SimConfig, simulate, simulate_ber, simulate_capacity, simulate_outage
 from uwoc.performance import (
     CAPACITY_TAU,
     HETERODYNE,
@@ -88,6 +88,91 @@ class TestChunkMerge:
         values = np.log1p(CAPACITY_TAU * gamma)
         assert est == pytest.approx(values.mean(), rel=1e-14)
         assert se == pytest.approx(values.std() / math.sqrt(values.size), rel=1e-6)
+
+
+def _grid_links():
+    """Three IM/DD links of one model: 0, 20 and 40 dB, the 20 dB one at threshold 3."""
+    return [LinkBudget(STRONG, IMDD, db(snr_db), gamma_th)
+            for snr_db, gamma_th in ((0.0, 1.0), (20.0, 3.0), (40.0, 1.0))]
+
+
+class TestOnePass:
+    # float.hex of (estimate, SE) of each link run alone through simulate_outage /
+    # simulate_ber (OOK) / simulate_capacity, pinned from the per-link implementation
+    SINGLE_POINT = {
+        (400_000, 11, 100_000): [
+            [("0x1.a5d495182a993p-1", "0x1.3bc4c4517d245p-11"),
+             ("0x1.9950f19b49b16p-2", "0x1.01f3f007b8520p-12"),
+             ("0x1.b0d5a1a2cd25dp-3", "0x1.7e4662e821cf4p-11")],
+            [("0x1.5e8f08461f9f1p-1", "0x1.812cb2d301beap-11"),
+             ("0x1.fba76e71e2e35p-3", "0x1.2e958771c6054p-12"),
+             ("0x1.50bbdb8cbb73ap+0", "0x1.9a1c1c63060ccp-9")],
+            [("0x1.9141205bc01a4p-4", "0x1.ecd8d6f6c422bp-12"),
+             ("0x1.ada7cb48f1005p-5", "0x1.7f05227fdaa46p-13"),
+             ("0x1.08a0bfaa729d0p+2", "0x1.51b803d424c49p-8")],
+        ],
+        (3000, 4, 1000): [
+            [("0x1.a76c8b4395810p-1", "0x1.c49469e8b141fp-8"),
+             ("0x1.9a0e048d51416p-2", "0x1.72b9dafc7adecp-9"),
+             ("0x1.ab6ba865adef7p-3", "0x1.11b68bb40d8f0p-7")],
+            [("0x1.5dddddddddddep-1", "0x1.164bbf2cdff7ap-7"),
+             ("0x1.facee9e3d536dp-3", "0x1.b39ed9b54ee1ap-9"),
+             ("0x1.4e5ebc2540e6ap+0", "0x1.266ffa4b0ea0ap-5")],
+            [("0x1.810624dd2f1aap-4", "0x1.5d2da96c82b92p-8"),
+             ("0x1.9f15eee5c877fp-5", "0x1.0c4e93a944f5fp-9"),
+             ("0x1.087293c3bd417p+2", "0x1.e4b626fe5a5a7p-5")],
+        ],
+    }
+    METRICS = ("outage", "ber", "capacity")
+
+    @pytest.mark.parametrize("budget", sorted(SINGLE_POINT))
+    def test_equals_the_single_point_estimates(self, budget):
+        n_samples, seed, chunk_size = budget
+        cfg = SimConfig(n_samples=n_samples, seed=seed, chunk_size=chunk_size)
+        links = _grid_links()
+        out = simulate(links, self.METRICS, cfg, Modulation.ook())
+        got = [[tuple(v.hex() for v in out[m][j]) for m in self.METRICS] for j in range(3)]
+        assert got == self.SINGLE_POINT[budget]
+        # the one-link wrappers read the same pass
+        assert [[tuple(v.hex() for v in est) for est in (
+            simulate_outage(link, cfg), simulate_ber(link, Modulation.ook(), cfg),
+            simulate_capacity(link, cfg))] for link in links] == got
+
+    @pytest.mark.parametrize("n_links", [1, 3, 7])
+    def test_one_draw_per_chunk(self, n_links):
+        sizes = []
+
+        def sample(rng, size):
+            sizes.append(size)
+            return STRONG.sample(rng, size)
+
+        shared = SimpleNamespace(sample=sample)
+        links = [LinkBudget(STRONG, IMDD, db(5.0 * k)) for k in range(n_links)]
+        for link in links:
+            object.__setattr__(link, "params", shared)
+        out = simulate(links, self.METRICS, SimConfig(n_samples=2500, seed=1, chunk_size=1000),
+                       Modulation.ook())
+        assert sizes == [1000, 1000, 500]
+        assert all(len(out[m]) == n_links for m in self.METRICS)
+
+    def test_rejects_links_of_different_models(self):
+        cfg = SimConfig(n_samples=10)
+        with pytest.raises(ValueError):
+            simulate([LinkBudget(STRONG, IMDD, 10.0), LinkBudget(ROW1, IMDD, 10.0)], ["outage"], cfg)
+        with pytest.raises(ValueError):
+            simulate([LinkBudget(STRONG, IMDD, 10.0), LinkBudget(STRONG, HETERODYNE, 10.0)],
+                     ["capacity"], cfg)
+        with pytest.raises(ValueError):
+            simulate([], ["outage"], cfg)
+
+    def test_rejects_bad_metrics(self):
+        cfg = SimConfig(n_samples=10)
+        with pytest.raises(ValueError):
+            simulate(_grid_links(), ["ber"], cfg)  # no modulation
+        with pytest.raises(ValueError):
+            simulate(_grid_links(), ["snr"], cfg)
+        with pytest.raises(ValueError):
+            simulate([LinkBudget(STRONG, HETERODYNE, 10.0)], ["ber"], cfg, Modulation.ook())
 
 
 class TestOutage:

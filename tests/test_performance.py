@@ -192,6 +192,15 @@ class TestSnrCdfAsymptotic:
             want = (gamma / link.mu_r) ** 1.0 / 0.4
             assert snr_cdf_asymptotic(link, gamma) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("gamma", [-1.0, math.nan, math.inf, [1.0, -1.0]])
+    def test_domain_as_snr_cdf(self, gamma):
+        link = LinkBudget(STRONG, IMDD, db(60.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (snr_cdf, snr_cdf_asymptotic):
+                with pytest.raises(ValueError):
+                    f(link, gamma)
+
 
 class TestSnrMoment:
     def test_pure_exponential_mean(self):
@@ -219,6 +228,14 @@ class TestSnrMoment:
         link = LinkBudget(ROW1, IMDD, 10.0)
         with pytest.raises(ValueError):
             snr_moment(link, 0)
+
+    @pytest.mark.parametrize("n", [math.inf, -math.inf, math.nan, 1.5])
+    def test_invalid_order(self, n):
+        link = LinkBudget(ROW1, IMDD, 10.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError):
+                snr_moment(link, n)
 
 
 class TestOutage:
