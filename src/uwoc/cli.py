@@ -164,9 +164,12 @@ def _parse_grid(text):
         start, stop, step = map(float, parts)
     except ValueError as exc:
         raise _UserError(f"invalid --snr-db: {exc}") from exc
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise _UserError("--snr-db requires finite FROM, TO and STEP")
     if step <= 0 or stop < start:
         raise _UserError("--snr-db requires STEP > 0 and TO >= FROM")
-    count = int(round((stop - start) / step)) + 1
+    # no point past TO; the tolerance keeps a TO that the division puts a hair short
+    count = math.floor((stop - start) / step + 1e-9) + 1
     return [start + k * step for k in range(count)]
 
 

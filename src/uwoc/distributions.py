@@ -16,7 +16,8 @@ from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
-from scipy import special as sp
+
+from .special import sp
 
 __all__ = [
     "EggParams",
@@ -38,6 +39,7 @@ _EXP_LO, _EXP_HI = -745.0, 709.0
 # below this c ln(i/b), exp() nears the subnormal range and P(a, e^t) is taken
 # as its leading series term; the next term is a e^t/(a+1) < 1e-300 relative
 _GG_SERIES_T = -700.0
+_TINY = np.finfo(float).tiny
 
 # smallest positive normal float; guards sampled values against underflow to 0
 _TINY = float(np.finfo(float).tiny)
@@ -251,6 +253,8 @@ class EggParams(_Mixture):
             x = np.where(t > _EXP_HI, np.inf, x)
             # deep lower tail in log space: P(a, e^t) = e^{a t} / Gamma(a + 1)
             series = np.exp(a * np.minimum(t, _GG_SERIES_T) - sp.gammaln(a + 1.0))
+            # subnormals read 0 as from scipy's P(a, x) past the switch: the CDF never falls
+            series = np.where(series < _TINY, 0.0, series)
             gg = np.where(t < _GG_SERIES_T, series, sp.gammainc(a, x))
         om = self.effective_weight
         out = om * self._exp_cdf(arr) + (1.0 - om) * gg

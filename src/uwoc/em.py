@@ -19,7 +19,6 @@ from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
-from scipy import special as sp
 
 from .distributions import (
     EggParams,
@@ -29,6 +28,7 @@ from .distributions import (
     _log_mix,
 )
 from .errors import DataError, DegenerateComponentError, FitFailureError
+from .special import sp
 
 __all__ = [
     "EmConfig",

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as sp
 
 from .performance import (
     CAPACITY_TAU,
@@ -26,6 +25,7 @@ from .performance import (
     _check_compat,
     modulation_params,
 )
+from .special import sp
 
 __all__ = ["SimConfig", "simulate", "simulate_outage", "simulate_ber", "simulate_capacity"]
 

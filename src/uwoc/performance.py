@@ -30,11 +30,10 @@ from functools import lru_cache
 from typing import Optional
 
 import numpy as np
-from scipy import special as sp
 
 from .distributions import EggParams, EgParams, WEIGHT_EPS
 from .errors import ConvergenceError
-from .special import Estimate, FoxHSpec, QuadratureConfig, _gauss_kronrod, fox_h_ln
+from .special import Estimate, FoxHSpec, QuadratureConfig, _gauss_kronrod, fox_h_ln, sp
 
 __all__ = [
     "DetectionMode",

@@ -6,19 +6,20 @@ in one array call carries the lobe integrals of the BER and capacity route.
 contract, an error bound or :class:`ConvergenceError`, and stays as the
 tests' oracle.  The Fox H evaluator integrates the Mellin-Barnes contour
 along a vertical line with QUADPACK.  Gamma-family functions come straight
-from ``scipy.special``.
+from ``scipy.special``, through ``sp``, which loads it on first use.
 """
 
 from __future__ import annotations
 
+import importlib
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special as sp
 
-# scipy.integrate and scipy.optimize are imported inside the functions that use
-# them: importing uwoc, and each CLI command that needs neither, skips them
+# SciPy loads on first use: scipy.integrate and scipy.optimize inside the functions
+# that use them, scipy.special through ``sp``; importing uwoc loads none of them
 
 from .errors import ConvergenceError
 
@@ -47,6 +48,23 @@ class QuadratureConfig:
 
 
 DEFAULT_QUAD = QuadratureConfig()
+
+
+class _OnFirstUse(types.ModuleType):
+    """The module of this name, imported on the first attribute read.
+
+    That read copies its namespace in and makes this a plain module, as
+    ``importlib.util.LazyLoader`` does.  Threads that read first at once are
+    safe: the import lock runs the init once; the copy and swap are idempotent.
+    """
+
+    def __getattr__(self, attr):
+        self.__dict__.update(vars(importlib.import_module(self.__name__)))
+        self.__class__ = types.ModuleType
+        return getattr(self, attr)
+
+
+sp = _OnFirstUse("scipy.special")  # not put in sys.modules
 
 
 def _check_positive(name, x):

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uwoc.cli import main, read_samples
+from uwoc.cli import _parse_grid, main, read_samples
 from uwoc.distributions import model_from_dict
 from uwoc.presets import condition
 
@@ -29,21 +29,39 @@ def sample_file(tmp_path):
     return path
 
 
-def _loaded_integrate_optimize(code):
-    """Which of scipy.integrate and scipy.optimize a fresh process has loaded after ``code``."""
-    code += ("\nimport sys; "
-             "print(sorted(m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules))")
+def _loaded_scipy(code, *argv, timeout=120):
+    """The ``scipy*`` modules a fresh process has loaded after ``code`` ran with ``argv``."""
+    code += ("\nimport json, sys\n"
+             "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__)))
     env = {**os.environ, "PYTHONPATH": src}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                          check=True, timeout=120)
-    return done.stdout.strip()
+    done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
+                          capture_output=True, text=True, check=True, timeout=timeout)
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+# runs the CLI on sys.argv[1:] and requires exit status 0
+RUN_CLI = ("import runpy, sys; sys.argv = sys.argv[1:]\n"
+           "try:\n    runpy.run_module('uwoc.cli', run_name='__main__')\n"
+           "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
+INTEGRATE_OPTIMIZE = {"scipy.integrate", "scipy.optimize"}
 
 
 class TestImport:
     def test_cli_import_leaves_out_integrate_and_optimize(self):
         # only the Fox H contour integral needs them; it imports them on use
-        assert _loaded_integrate_optimize("import uwoc.cli") == "[]"
+        assert not _loaded_scipy("import uwoc.cli") & INTEGRATE_OPTIMIZE
+
+    def test_import_loads_no_scipy(self):
+        # scipy.special too loads on first use
+        assert _loaded_scipy("import uwoc") == set()
+        assert _loaded_scipy("import uwoc.cli") == set()
+
+    def test_synth_loads_no_scipy(self, tmp_path):
+        out = tmp_path / "samples.txt"
+        assert _loaded_scipy(RUN_CLI, "uwoc", "synth", "--params", ROW1, "--n", "1000",
+                             "--seed", "3", "--output", str(out)) == set()
+        assert read_samples(str(out)).size == 1000
 
     def test_ber_and_capacity_leave_out_integrate_and_optimize(self):
         # the lobes run on numpy Gauss-Kronrod panels
@@ -52,21 +70,13 @@ class TestImport:
                 "from uwoc.presets import condition\n"
                 "link = LinkBudget(condition('salty-16.5lpm').egg, IMDD, 1e3)\n"
                 "assert 0.0 < avg_ber(link, Modulation.ook()) < 1.0 < ergodic_capacity(link)")
-        assert _loaded_integrate_optimize(code) == "[]"
+        assert not _loaded_scipy(code) & INTEGRATE_OPTIMIZE
 
     def test_fit_leaves_out_optimize(self, tmp_path, sample_file):
         # the Gamma shape equation is solved by a bracketed Newton iteration
-        code = ("import runpy, sys; sys.argv = sys.argv[1:]\n"
-                "try:\n    runpy.run_module('uwoc.cli', run_name='__main__')\n"
-                "except SystemExit as exc:\n    assert exc.code == 0, exc.code\n"
-                "print('scipy.optimize' in sys.modules)")
-        src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__)))
-        env = {**os.environ, "PYTHONPATH": src}
         argv = ["uwoc", "fit", "--input", str(sample_file), "--eps", "1e-3", "--restarts", "1",
                 "--output", str(tmp_path / "report.json")]
-        done = subprocess.run([sys.executable, "-c", code, *argv], env=env, capture_output=True,
-                              text=True, check=True, timeout=300)
-        assert done.stdout.strip() == "False"
+        assert "scipy.optimize" not in _loaded_scipy(RUN_CLI, *argv, timeout=300)
         assert json.loads((tmp_path / "report.json").read_text())["converged"] is True
 
 
@@ -224,6 +234,24 @@ class TestPerf:
     def test_bad_grid(self):
         assert run(["perf", "outage", "--params", ROW1, "--detection", "imdd",
                     "--snr-db", "10:0:5"]) == 2
+
+    def test_grid_stops_at_to(self, capsys):
+        assert run(["perf", "outage", "--params", ROW1, "--detection", "imdd",
+                    "--snr-db", "0:11:4"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [float(r.split(",")[0]) for r in rows] == [0.0, 4.0, 8.0]
+        tenths = _parse_grid("0:10:0.1")
+        assert len(tenths) == 101 and tenths[-1] == pytest.approx(10.0, abs=1e-12)
+        # the benchmark's grids are as under the old rounded count
+        assert _parse_grid("0:60:1") == [float(k) for k in range(61)]
+        assert _parse_grid("0:60:10") == [10.0 * k for k in range(7)]
+
+    @pytest.mark.parametrize("grid", ["0:inf:1", "nan:10:1", "0:10:nan", "-inf:10:1"])
+    def test_non_finite_grid(self, grid, capsys):
+        for command in (["perf", "outage"], ["simulate", "outage", "--samples", "100"]):
+            assert run([*command, "--params", ROW1, "--detection", "imdd",
+                        f"--snr-db={grid}"]) == 2
+            assert "finite" in capsys.readouterr().err
 
 
 class TestSimulate:

@@ -1,5 +1,9 @@
 import math
+import os
 import pickle
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
@@ -133,3 +137,64 @@ class TestFoxHValues:
         with pytest.raises(ConvergenceError) as err:
             fox_h(spec, 1.0, cfg)
         assert err.value.estimate is not None
+
+
+def _fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this uwoc; its asserts must hold."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", textwrap.dedent(code)], env=env, check=True,
+                   timeout=120)
+
+
+class TestScipySpecialOnFirstUse:
+    def test_first_call_makes_a_plain_module(self):
+        _fresh("""
+            import sys, types
+            import uwoc.special
+            from uwoc.distributions import EggParams
+            assert type(uwoc.special.sp) is not types.ModuleType
+            assert "scipy.special" not in sys.modules
+            assert 0.0 < EggParams(0.2, 0.3, 1.4, 1.2, 17.0).cdf(1.0) < 1.0
+            assert type(uwoc.special.sp) is types.ModuleType
+        """)
+
+    def test_same_functions_as_scipy_special(self):
+        _fresh("""
+            import sys
+            from uwoc.special import sp
+            gammaln = sp.gammaln
+            import scipy.special
+            assert gammaln is scipy.special.gammaln and sp.erfcx is scipy.special.erfcx
+            assert sys.modules["scipy.special"] is scipy.special is not sp
+        """)
+
+    def test_one_object_for_every_module(self):
+        _fresh("""
+            import uwoc.distributions, uwoc.em, uwoc.montecarlo, uwoc.performance, uwoc.special
+            sp = uwoc.special.sp
+            assert uwoc.distributions.sp is uwoc.em.sp is sp
+            assert uwoc.montecarlo.sp is uwoc.performance.sp is sp
+        """)
+
+    def test_concurrent_first_reads(self):
+        # more threads than cores, released together onto the first read
+        _fresh("""
+            import sys, threading
+            from uwoc.special import sp
+            barrier, got = threading.Barrier(4), []
+
+            def read():
+                barrier.wait()
+                got.append(sp.gammaln)
+
+            sys.setswitchinterval(1e-6)
+            threads = [threading.Thread(target=read) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+                assert not thread.is_alive()
+            import scipy.special
+            assert len(got) == 4 and all(f is scipy.special.gammaln for f in got)
+        """)
