@@ -156,6 +156,10 @@ def _resolve_params(args):
     raise _UserError("give either --params or --report")
 
 
+# the most points one --snr-db grid may have
+_MAX_GRID_POINTS = 10_000
+
+
 def _parse_grid(text):
     parts = str(text).split(":")
     if len(parts) != 3:
@@ -169,7 +173,10 @@ def _parse_grid(text):
     if step <= 0 or stop < start:
         raise _UserError("--snr-db requires STEP > 0 and TO >= FROM")
     # no point past TO; the tolerance keeps a TO that the division puts a hair short
-    count = math.floor((stop - start) / step + 1e-9) + 1
+    span = (stop - start) / step + 1e-9
+    if not span < _MAX_GRID_POINTS:  # inf where TO - FROM overflows
+        raise _UserError(f"--snr-db gives more than {_MAX_GRID_POINTS} points")
+    count = math.floor(span) + 1
     return [start + k * step for k in range(count)]
 
 

@@ -11,8 +11,8 @@ log space, and the value is returned only when the error bound of the total
 is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).  Values
 below the double range therefore come back certified as 0.0 or subnormal.
 The route needs numpy and ``scipy.special`` only.  The paper's Fox H closed
-forms stay available as ``method='foxh'`` (QUADPACK through
-``scipy.integrate``), and every metric has a high-SNR asymptote in
+forms stay available as ``method='foxh'``, their contour integrals on the
+same Gauss-Kronrod panels, and every metric has a high-SNR asymptote in
 elementary functions.
 
 The exponential lobe omega/lambda e^(-I/lambda) is the Generalized Gamma
@@ -70,7 +70,7 @@ _DROP = 40.0
 _QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-8, max_subdivisions=400)
 # panel breaks at the peak and 2^k (k = 0..7) of its width to either side
 _BREAK_LADDER = np.concatenate([-(2.0 ** np.arange(7, -1, -1)), [0.0], 2.0 ** np.arange(8)])
-_FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-10, max_subdivisions=64)
+_FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=2000)
 
 _SQRT_PI = math.sqrt(math.pi)
 

@@ -1,12 +1,12 @@
 """Numerical integration primitives and the Fox H function.
 
 A numpy Gauss-Kronrod (G7/K15) integrator that evaluates every open panel
-in one array call carries the lobe integrals of the BER and capacity route.
+in one array call carries the lobe integrals of the BER and capacity route,
+and the Fox H evaluator's Mellin-Barnes integral along a vertical contour.
 ``adaptive_quad`` wraps QUADPACK (``scipy.integrate.quad``) with the same
 contract, an error bound or :class:`ConvergenceError`, and stays as the
-tests' oracle.  The Fox H evaluator integrates the Mellin-Barnes contour
-along a vertical line with QUADPACK.  Gamma-family functions come straight
-from ``scipy.special``, through ``sp``, which loads it on first use.
+tests' oracle.  Gamma-family functions come straight from
+``scipy.special``, through ``sp``, which loads it on first use.
 """
 
 from __future__ import annotations
@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# SciPy loads on first use: scipy.integrate and scipy.optimize inside the functions
-# that use them, scipy.special through ``sp``; importing uwoc loads none of them
+# SciPy loads on first use: scipy.integrate inside adaptive_quad, scipy.special
+# through ``sp``; importing uwoc loads none of them
 
 from .errors import ConvergenceError
 
@@ -142,6 +142,11 @@ _GK_WEIGHTS = np.zeros((15, 2))
 _GK_WEIGHTS[:, 0] = _K15
 _GK_WEIGHTS[1::2, 1] = _G7
 _EPS = np.finfo(float).eps
+# the Fox H contour ends where the integrand has fallen this far in log below
+# its value at t = 0; the abscissa search takes this many points out from each
+# pole wall and again to refine its best point
+_FOXH_DROP = 60.0
+_ABSCISSA_GRID = 64
 
 
 def _gauss_kronrod(f, breaks, cfg: QuadratureConfig = DEFAULT_QUAD):
@@ -258,7 +263,8 @@ class FoxHSpec:
         return delta
 
     def log_kernel(self, s):
-        """log theta(s) for complex s (branch irrelevant: only exp'd sums are used)."""
+        """log theta(s) for complex s, a scalar or an array (branch irrelevant:
+        only exp'd sums are used)."""
         total = 0.0 + 0.0j
         for j, (b, B) in enumerate(self.lower_params):
             if j < self.m:
@@ -277,39 +283,32 @@ def _contour_abscissa(spec: FoxHSpec, log_z: float) -> float:
     """Abscissa of the integration line.
 
     Chosen to minimize the t = 0 integrand magnitude log|theta(c)| - c log z
-    within the admissible strip (a saddle-point rule).  This keeps the
-    integrand scaled to the result: a fixed abscissa such as the strip
-    midpoint can overshoot the result's magnitude by many orders for extreme
-    arguments, losing the value to roundoff in the oscillatory cancellation.
-    The kernel magnitude diverges at both pole walls, so the minimum is
-    interior to the strip.
+    within the admissible strip (a saddle-point rule): over a grid geometric
+    out from each pole wall, then over a uniform grid between the neighbours
+    of its best point.  This keeps the integrand scaled to the result: a
+    fixed abscissa such as the strip midpoint can overshoot the result's
+    magnitude by many orders for extreme arguments, losing the value to
+    roundoff in the oscillatory cancellation.  The kernel magnitude diverges
+    at both pole walls, so the minimum is interior to the strip; at extreme
+    arguments it lies close to a wall, which the geometric grid reaches.
     """
-    from scipy import optimize
-
     lo, hi = spec.contour_lo, spec.contour_hi
+    if math.isfinite(lo) and math.isfinite(hi):
+        steps = np.geomspace(1e-10, 0.5, _ABSCISSA_GRID) * (hi - lo)
+        grid = np.concatenate([lo + steps, hi - steps[-2::-1]])  # the midpoint once
+    elif math.isfinite(lo) or math.isfinite(hi):
+        reach = 10.0 + 3.0 * math.exp(min(abs(log_z), 25.0))
+        steps = np.geomspace(1e-10, 1.0, _ABSCISSA_GRID) * reach
+        grid = lo + steps if math.isfinite(lo) else hi - steps[::-1]
+    else:
+        return 0.0
 
     def height(c):
-        return float(np.real(spec.log_kernel(complex(c, 0.0)))) - c * log_z
+        return spec.log_kernel(c + 0j).real - c * log_z
 
-    if math.isfinite(lo) and math.isfinite(hi):
-        margin = min(0.02 * (hi - lo), 0.05)
-        res = optimize.minimize_scalar(
-            height, bounds=(lo + margin, hi - margin), method="bounded"
-        )
-        return float(res.x) if res.success else 0.5 * (lo + hi)
-
-    reach = 10.0 + 3.0 * math.exp(min(abs(log_z), 25.0))
-    if math.isfinite(lo):
-        res = optimize.minimize_scalar(
-            height, bounds=(lo + 0.25, lo + reach), method="bounded"
-        )
-        return float(res.x) if res.success else lo + 0.5
-    if math.isfinite(hi):
-        res = optimize.minimize_scalar(
-            height, bounds=(hi - reach, hi - 0.25), method="bounded"
-        )
-        return float(res.x) if res.success else hi - 0.5
-    return 0.0
+    k = int(np.argmin(height(grid)))
+    grid = np.linspace(grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)], _ABSCISSA_GRID)
+    return float(grid[np.argmin(height(grid))])
 
 
 def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
@@ -318,69 +317,62 @@ def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
 
     ``log_prefactor`` lets callers fold constants such as 1/Gamma(a) into the
     contour integrand, keeping it inside float range even when the bare H
-    value would overflow.
+    value would overflow.  The integrand on s = c0 + i t is the real part
+    of theta(s) z^{-s}, a Hermitian function of t, so H is (1/pi) times its
+    integral over t >= 0.  It is integrated scaled by its magnitude at t = 0
+    on Gauss-Kronrod panels out to where it has fallen ``_FOXH_DROP`` in
+    log below that, and ``cfg`` is in those scaled units.  Returns an
+    :class:`Estimate`, or raises :class:`ConvergenceError` carrying the
+    estimate and bound scaled back.
     """
     if spec.decay_rate <= 0:
         raise ValueError(
             "Mellin-Barnes integral does not decay along vertical contours "
             f"(decay rate {spec.decay_rate}); this parameter family is unsupported"
         )
-    from scipy import integrate
-
     c0 = _contour_abscissa(spec, log_z)
 
-    def integrand(t):
-        # real part of theta(s) z^{-s} on the vertical line s = c0 + i t
-        s = complex(c0, t)
-        w = spec.log_kernel(s) - s * log_z + log_prefactor
-        re = w.real
-        if re > 700.0:
-            raise ConvergenceError("Mellin-Barnes integrand overflow", estimate=None)
-        return math.exp(re) * math.cos(w.imag)
+    def log_integrand(t):
+        s = c0 + 1j * t
+        return spec.log_kernel(s) - s * log_z
 
-    # The integrand is the real part of a Hermitian function of t, so the
-    # full-line integral equals (1/pi) * int_0^inf.  Truncate in chunks,
-    # extending until two consecutive chunks are negligible against the
-    # running tolerance.
+    top = float(log_integrand(0.0).real)
+    if top + log_prefactor > 700.0:
+        raise ConvergenceError("Mellin-Barnes integrand overflow", estimate=None)
+
+    def integrand(t):
+        w = log_integrand(t)
+        return np.exp(w.real - top) * np.cos(w.imag)
+
+    # panels from t = 0 double in width up to a cap, the first resolving any
+    # pole close to the contour in a narrow strip
     half_width = max(0.5, 4.0 / (math.pi * spec.decay_rate / 2.0))
-    # resolve pole-proximity structure near t = 0 for narrow contour strips
     margin = min(
         c0 - spec.contour_lo if math.isfinite(spec.contour_lo) else half_width,
         spec.contour_hi - c0 if math.isfinite(spec.contour_hi) else half_width,
     )
-    first = min(half_width, max(margin, 1e-6) * 8.0)
+    width = min(half_width, 8.0 * margin)
+    breaks = [0.0, width]
+    while log_integrand(breaks[-1]).real > top - _FOXH_DROP:
+        width = min(2.0 * width, 16.0 * half_width)
+        breaks.append(breaks[-1] + width)
 
-    total = 0.0
-    scale = 0.0
-    t0, t1 = 0.0, first
-    negligible = 0
-    chunk = math.inf
-    for _ in range(cfg.max_subdivisions):
-        eps = max(cfg.abs_tol, cfg.rel_tol * scale) / 8.0
-        chunk = integrate.quad(
-            integrand, t0, t1, epsabs=eps, epsrel=1e-12, limit=400,
-            full_output=True,
-        )[0]
-        total += chunk
-        scale = max(scale, abs(chunk), abs(total))
-        tol = max(cfg.abs_tol, cfg.rel_tol * scale)
-        if abs(chunk) < 0.25 * tol:
-            negligible += 1
-            if negligible >= 2:
-                return total / math.pi
-        else:
-            negligible = 0
-        width = min(2.0 * (t1 - t0), 16.0 * half_width)
-        t0, t1 = t1, t1 + width
-    raise ConvergenceError(
-        "Fox H contour truncation did not converge",
-        estimate=total / math.pi,
-        error_bound=abs(chunk),
-    )
+    scale = math.exp(top + log_prefactor) / math.pi
+    if scale == 0.0:  # scaled, the integrand is 1 at t = 0: H is below the double range
+        return Estimate(0.0, 0.0)
+    try:
+        est = _gauss_kronrod(integrand, breaks, cfg)
+    except ConvergenceError as exc:
+        raise ConvergenceError(
+            "Fox H contour integral did not converge",
+            estimate=scale * exc.estimate,
+            error_bound=scale * exc.error_bound,
+        ) from exc
+    return Estimate(scale * est, scale * est.error_bound)
 
 
 def fox_h(spec: FoxHSpec, z: float, cfg: QuadratureConfig = DEFAULT_QUAD):
-    """Evaluate H^{m,n}_{p,q}[z] for real z > 0 by contour integration."""
+    """H^{m,n}_{p,q}[z] for real z > 0 by contour integration, an :class:`Estimate`."""
     z = float(z)
     _check_positive("z", z)
     return fox_h_ln(spec, math.log(z), cfg)

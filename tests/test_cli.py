@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uwoc.cli import _parse_grid, main, read_samples
+from uwoc.cli import _UserError, _parse_grid, main, read_samples
 from uwoc.distributions import model_from_dict
 from uwoc.presets import condition
 
@@ -49,7 +49,7 @@ INTEGRATE_OPTIMIZE = {"scipy.integrate", "scipy.optimize"}
 
 class TestImport:
     def test_cli_import_leaves_out_integrate_and_optimize(self):
-        # only the Fox H contour integral needs them; it imports them on use
+        # only adaptive_quad, the tests' QUADPACK oracle, needs them
         assert not _loaded_scipy("import uwoc.cli") & INTEGRATE_OPTIMIZE
 
     def test_import_loads_no_scipy(self):
@@ -70,6 +70,16 @@ class TestImport:
                 "from uwoc.presets import condition\n"
                 "link = LinkBudget(condition('salty-16.5lpm').egg, IMDD, 1e3)\n"
                 "assert 0.0 < avg_ber(link, Modulation.ook()) < 1.0 < ergodic_capacity(link)")
+        assert not _loaded_scipy(code) & INTEGRATE_OPTIMIZE
+
+    def test_foxh_leaves_out_integrate_and_optimize(self):
+        # the contour integrals run on the same numpy panels
+        code = ("from uwoc.performance import IMDD, LinkBudget, Modulation, avg_ber, "
+                "ergodic_capacity\n"
+                "from uwoc.presets import condition\n"
+                "link = LinkBudget(condition('salty-16.5lpm').egg, IMDD, 1e3)\n"
+                "assert 0.0 < avg_ber(link, Modulation.ook(), method='foxh') < 1.0\n"
+                "assert ergodic_capacity(link, method='foxh') > 1.0")
         assert not _loaded_scipy(code) & INTEGRATE_OPTIMIZE
 
     def test_fit_leaves_out_optimize(self, tmp_path, sample_file):
@@ -245,13 +255,24 @@ class TestPerf:
         # the benchmark's grids are as under the old rounded count
         assert _parse_grid("0:60:1") == [float(k) for k in range(61)]
         assert _parse_grid("0:60:10") == [10.0 * k for k in range(7)]
+        # the largest grid allowed, and one point more
+        assert len(_parse_grid("0:9999:1")) == 10_000
+        with pytest.raises(_UserError, match="more than 10000 points"):
+            _parse_grid("0:10000:1")
 
-    @pytest.mark.parametrize("grid", ["0:inf:1", "nan:10:1", "0:10:nan", "-inf:10:1"])
-    def test_non_finite_grid(self, grid, capsys):
+    @pytest.mark.parametrize("grid, message", [
+        pytest.param(grid, message, id=grid) for grid, message in [
+            ("0:inf:1", "finite"), ("nan:10:1", "finite"), ("0:10:nan", "finite"),
+            ("-inf:10:1", "finite"),
+            # TO - FROM overflows, and a count that would build 1e12 points
+            ("-1e308:1e308:1", "points"), ("0:1e9:1e-3", "points"),
+        ]
+    ])
+    def test_non_finite_grid(self, grid, message, capsys):
         for command in (["perf", "outage"], ["simulate", "outage", "--samples", "100"]):
             assert run([*command, "--params", ROW1, "--detection", "imdd",
                         f"--snr-db={grid}"]) == 2
-            assert "finite" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
 
 class TestSimulate:

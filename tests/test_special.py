@@ -11,6 +11,7 @@ from scipy import special as sp
 
 from uwoc.errors import ConvergenceError
 from uwoc.special import (
+    Estimate,
     FoxHSpec,
     QuadratureConfig,
     _gauss_kronrod,
@@ -112,7 +113,10 @@ class TestFoxHValues:
         spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((a, 1.0),))
         for z in np.logspace(-3, 2, 11):
             want = z**a * math.exp(-z)
-            assert fox_h(spec, z, self.CFG) == pytest.approx(want, rel=1e-9)
+            got = fox_h(spec, z, self.CFG)
+            assert got == pytest.approx(want, rel=1e-9)
+            assert isinstance(got, Estimate)
+            assert math.isfinite(got.error_bound) and got.error_bound >= 0.0
 
     @pytest.mark.parametrize("a", [0.35, 1.0, 1.7, 4.2])
     def test_lower_incomplete_gamma_reduction(self, a):
