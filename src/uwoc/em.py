@@ -618,8 +618,10 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
 
     Runs ``cfg.restarts`` independent EM chains (the first from the plain
     initialization, later ones from jittered copies), and returns the
-    :class:`FitReport` with the highest final log-likelihood, ties broken by
-    the lowest restart index, with every restart's diagnostics.  The chains
+    :class:`FitReport` of the best restart, with every restart's diagnostics.
+    A later restart replaces the one kept only when its final log-likelihood
+    is higher by more than ``ASCENT_SLACK``, so restarts that end within
+    rounding of each other keep the earlier one.  The chains
     run concurrently, one thread per core, and are read in restart order, so
     the report has the same floats as chains run one after another.
     """
@@ -668,7 +670,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
             scintillation_index=float(params.scintillation_index()),
             restart_index=k,
         )
-        if best is None or report.loglik > best.loglik:
+        if best is None or report.loglik > best.loglik + ASCENT_SLACK:
             best = report
     if best is None:
         raise FitFailureError("every EM restart ended degenerate", diagnostics=diagnostics)

@@ -357,12 +357,17 @@ _BER_KERNEL = (_ln_erfc_sqrt, _ln_erfc_sqrt_array)
 _CAPACITY_KERNEL = (_ln_softplus, _ln_softplus_array)
 
 
-def _argmax(ell, t):
-    """Maximum of a concave ``ell`` by Newton steps kept inside a bracket.
+def _argmax(ell, a):
+    """Peak of the concave log-integrand ``ell`` of a lobe of shape ``a``, by
+    Newton steps from t = ln a kept inside the bracket of the points seen.
 
+    The slope splits as ell' = P - N, with P = a + max(kappa h', 0) and
+    N = e^t + max(-kappa h', 0), and each step is taken in ln N - ln P.
+    Far from the peak ln N and ln P are each nearly linear in t, so the step
+    is nearly exact where a step in ell' gains about one unit of t per call.
     Returns t* and ell's value and second derivative there.
     """
-    lo, hi, step = -math.inf, math.inf, 1.0
+    t, lo, hi, step = math.log(a), -math.inf, math.inf, 1.0
     for _ in range(200):
         f, d1, d2 = ell(t)
         if d1 > 0.0:
@@ -371,7 +376,14 @@ def _argmax(ell, t):
             hi = t
         else:
             break
-        nxt = t - d1 / d2 if d2 < 0.0 else math.nan
+        u = math.exp(t) if t < 709.0 else math.inf
+        g, g1 = d1 - a + u, d2 + u  # kappa h' and its slope
+        n, n1, p, p1 = (u - g, -d2, a, 0.0) if g <= 0.0 else (u, u, a + g, g1)
+        slope = n1 / n - p1 / p if n > 0.0 else math.nan
+        nxt = t - math.log1p(-d1 / p) / slope if slope > 0.0 else math.nan
+        # a converged step may round onto the bracket end: accept it first
+        if abs(nxt - t) <= 1e-9 * (1.0 + abs(t)):
+            break
         if not lo < nxt < hi:
             if hi == math.inf:
                 nxt, step = lo + step, 2.0 * step
@@ -379,15 +391,18 @@ def _argmax(ell, t):
                 nxt, step = hi - step, 2.0 * step
             else:
                 nxt = 0.5 * (lo + hi)
-        if abs(nxt - t) <= 1e-9 * (1.0 + abs(t)):
-            break
         t = nxt
     return t, f, d2
 
 
 def _level_point(ell, t_star, target, step, direction):
     """A point on one side of the peak where the concave ``ell`` is at most
-    ``target`` (and within one unit of it), with ell and its slope there."""
+    ``target`` (and within one unit of it), with ell and its slope there.
+
+    While the fall from the peak, target + ``_DROP`` - ell, exceeds 4
+    ``_DROP`` the Newton step is taken in ln(fall), nearly linear in t where
+    ell falls like -e^t; nearer the level it is taken in ell.
+    """
     inner = t_star
     for _ in range(100):
         t = t_star + direction * step
@@ -395,11 +410,12 @@ def _level_point(ell, t_star, target, step, direction):
         if f <= target:
             break
         inner, step = t, 2.0 * step
-    # Newton steps from outside the level set stay outside for a concave ell
+    # Newton steps in ell from outside the level set stay outside for a concave ell
     for _ in range(100):
         if f >= target - 1.0:
             break
-        nxt = t - (f - target) / d1
+        fall = target + _DROP - f
+        nxt = t + math.log(fall / _DROP) * fall / d1 if fall > 4.0 * _DROP else t - (f - target) / d1
         if not (min(inner, t) < nxt < max(inner, t)):
             nxt = 0.5 * (inner + t)
         g, g1, _ = ell(nxt)
@@ -408,6 +424,17 @@ def _level_point(ell, t_star, target, step, direction):
         else:
             t, f, d1 = nxt, g, g1
     return t, f, d1
+
+
+def _log_integrand(a, s0, kappa, log_h):
+    """L(t) + ln Gamma(a) of :func:`_lobe_expectation` and its first two derivatives."""
+
+    def ell(t):
+        u = math.exp(t) if t < 709.0 else math.inf
+        h, h1, h2 = log_h(s0 + kappa * t)
+        return a * t - u + h, a - u + kappa * h1, kappa * kappa * h2 - u
+
+    return ell
 
 
 def _lobe_expectation(a, s0, kappa, kernel):
@@ -421,17 +448,12 @@ def _lobe_expectation(a, s0, kappa, kernel):
     exp(L - L*) on Gauss-Kronrod panels between the points where it has
     fallen ``_DROP`` below its peak L*, with breaks at t* +- w 2^k (k = 0..7,
     w = 1/sqrt(-L''(t*))); concavity bounds each tail beyond by
-    exp(L - L*) / |L'| there.
+    exp(L - L*) / |L'| there.  The peak and the ends are found by Newton
+    steps in ln N - ln P, where L' = P - N splits into its positive and
+    negative parts, and in ln(L* - L) far below the level, L near it.
     """
-    log_h, log_h_array = kernel
-
-    def ell(t):
-        # L(t) + ln Gamma(a) and its first two derivatives
-        u = math.exp(t) if t < 709.0 else math.inf
-        h, h1, h2 = log_h(s0 + kappa * t)
-        return a * t - u + h, a - u + kappa * h1, kappa * kappa * h2 - u
-
-    t_star, f_star, d2 = _argmax(ell, math.log(a))
+    ell, log_h_array = _log_integrand(a, s0, kappa, kernel[0]), kernel[1]
+    t_star, f_star, d2 = _argmax(ell, a)
     target = f_star - _DROP
     step = math.sqrt(2.0 * _DROP / max(-d2, 1e-12))
     t_lo, f_lo, slope_lo = _level_point(ell, t_star, target, step, -1.0)

@@ -557,6 +557,78 @@ class TestLobeIntegrator:
             assert gi == want or abs(gi - want) <= 1e-13 * abs(want), si
 
 
+def _counted_lobe(params, mode, snr_db, metric, lobe):
+    """(a, ell, calls): the log-integrand of one lobe of a link, whose scalar
+    kernel appends each argument it is called with to ``calls``."""
+    link = LinkBudget(params, mode, db(snr_db))
+    _, a, log_b, c = performance._lobes(link.params)[lobe]
+    # BPSK has q = 1; capacity scales the SNR by tau
+    shift = math.log(CAPACITY_TAU) if metric == "capacity" else 0.0
+    log_h = (performance._CAPACITY_KERNEL if metric == "capacity" else performance._BER_KERNEL)[0]
+    calls = []
+
+    def counted(s):
+        calls.append(s)
+        return log_h(s)
+
+    ell = performance._log_integrand(a, shift + math.log(link.mu_r) + link.r * log_b,
+                                     link.r / c, counted)
+    return a, ell, calls
+
+
+class TestLobeSearches:
+    """Scalar evaluations spent by the peak and level searches on the lobes
+    where plain Newton steps crawl."""
+
+    @staticmethod
+    def _peak(a, ell, calls):
+        """t* and the calls spent finding it, checked to be a zero of L'."""
+        t, _, d2 = performance._argmax(ell, a)
+        spent = len(calls)
+        assert abs(ell(t)[1]) <= 1e-8 * (1.0 + abs(t)) * -d2
+        return t, spent
+
+    def test_converged_step_on_the_bracket_end(self):
+        # a step of about 1e-17 rounds onto the bracket end; bisection then
+        # spent about 20 more calls walking back to the same t
+        a, ell, calls = _counted_lobe(ROW1, IMDD, 30.0, "capacity", 1)
+        assert self._peak(a, ell, calls)[1] <= 6
+
+    def test_peak_far_down_the_falling_side(self):
+        # the exponential lobe at 70 dB heterodyne starts at t = 0 and peaks
+        # near t = -14.6: steps in L' gained about one unit of t per call
+        a, ell, calls = _counted_lobe(STRONG, HETERODYNE, 70.0, "ber", 0)
+        t, spent = self._peak(a, ell, calls)
+        assert t < -14.0 and spent <= 10
+
+    @pytest.mark.parametrize("a, c, snr_db", [(0.0075, 0.6, 0.0), (0.0077, 0.58, -0.13),
+                                              (0.01, 0.5, 10.0)])
+    def test_small_shapes_capacity(self, a, c, snr_db):
+        # IM/DD capacity with small a and c: a step in L' from the rising side
+        # overshot to t ~ 280, the search ran out of iterations short of the
+        # peak, and exp(L - L*) raised a bare OverflowError
+        params = EggParams(0.0, 1.0, a, math.exp(sp.gammaln(a) - sp.gammaln(a + 1.0 / c)), c)
+        assert self._peak(*_counted_lobe(params, IMDD, snr_db, "capacity", 0))[1] <= 10
+        link = LinkBudget(params, IMDD, db(snr_db))
+        assert ergodic_capacity(link) == pytest.approx(
+            ergodic_capacity(link, method="foxh"), rel=1e-9)
+
+    def test_level_far_below_the_peak(self):
+        # a = 0.0121: the first probe right of the peak lands near L = -1e19,
+        # and steps in L walked back about one unit of t per call
+        a, ell, calls = _counted_lobe(STRONG, HETERODYNE, 30.0, "ber", 1)
+        t_star, f_star, d2 = performance._argmax(ell, a)
+        target = f_star - performance._DROP
+        step = math.sqrt(2.0 * performance._DROP / -d2)
+        for direction in (-1.0, 1.0):
+            del calls[:]
+            t, f, slope = performance._level_point(ell, t_star, target, step, direction)
+            assert len(calls) <= 20, direction
+            assert target - 1.0 <= f <= target, direction
+            assert (t - t_star) * direction > 0.0 and slope * direction < 0.0
+            assert (f, slope) == ell(t)[:2]
+
+
 class TestAvgBerAsymptotic:
     def test_bpsk_figure_anchor(self):
         link = LinkBudget(STRONG, HETERODYNE, db(60.0))

@@ -14,9 +14,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from uwoc.distributions import EggParams
+from uwoc import performance
+from uwoc.distributions import EggParams, EgParams
 from uwoc.errors import ConvergenceError
 from uwoc.performance import (
+    CAPACITY_TAU,
     HETERODYNE,
     IMDD,
     LinkBudget,
@@ -25,6 +27,7 @@ from uwoc.performance import (
     avg_ber_asymptotic,
     capacity_asymptotic,
     ergodic_capacity,
+    modulation_params,
     outage,
     snr_cdf_asymptotic,
 )
@@ -45,11 +48,22 @@ def _egg(omega, lam, a, c):
     return EggParams(omega, lam, a, math.exp(gammaln(a) - gammaln(a + 1.0 / c)), c)
 
 
+WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0]), _log_uniform(1e-23, 0.95))
+SCALES = _log_uniform(0.1, 1.1)
+SHAPES = _log_uniform(7.5e-3, 4e3)
+
+
 @st.composite
 def models(draw):
-    omega = draw(st.one_of(st.sampled_from([0.0, 1.0]), _log_uniform(1e-23, 0.95)))
-    lam = draw(_log_uniform(0.1, 1.1))
-    return _egg(omega, lam, draw(_log_uniform(7.5e-3, 4e3)), draw(_log_uniform(0.5, 217.0)))
+    omega, lam = draw(WEIGHTS), draw(SCALES)
+    return _egg(omega, lam, draw(SHAPES), draw(_log_uniform(0.5, 217.0)))
+
+
+@st.composite
+def eg_models(draw):
+    # EG fits, promoted to EGG with c = 1 by LinkBudget; the Gamma lobe has mean 1
+    omega, lam, alpha = draw(WEIGHTS), draw(SCALES), draw(SHAPES)
+    return EgParams(omega, lam, alpha, 1.0 / alpha)
 
 
 RECEIVERS = st.sampled_from([
@@ -72,7 +86,7 @@ def test_cdf_is_a_distribution_function(model):
 
 
 @PROFILE
-@given(models(), st.floats(-10.0, 80.0), RECEIVERS)
+@given(st.one_of(models(), eg_models()), st.floats(-10.0, 80.0), RECEIVERS)
 def test_metrics_are_certified_or_refused(model, snr_db, receiver):
     # a finite value >= 0 or ConvergenceError; never nan or another exception
     mode, modulation = receiver
@@ -87,3 +101,27 @@ def test_metrics_are_certified_or_refused(model, snr_db, receiver):
     for value in (snr_cdf_asymptotic(link, link.gamma_th), avg_ber_asymptotic(link, modulation)):
         assert value >= 0.0 and not math.isnan(value)
     assert math.isfinite(capacity_asymptotic(link))
+
+
+@PROFILE
+@given(models(), st.floats(-10.0, 80.0), RECEIVERS)
+def test_lobe_searches_are_short(model, snr_db, receiver):
+    # every lobe expectation of the BER and capacity routes finds its peak and
+    # both ends in at most 40 scalar kernel calls
+    mode, modulation = receiver
+    link = LinkBudget(model, mode, 10.0 ** (snr_db / 10.0))
+    log_mu = math.log(link.mu_r)
+    shifts = [(math.log(q) + log_mu, performance._BER_KERNEL)
+              for q in modulation_params(modulation)[2]]
+    shifts.append((math.log(CAPACITY_TAU) + log_mu, performance._CAPACITY_KERNEL))
+    for _, a, log_b, c in performance._lobes(link.params):
+        for shift, (log_h, log_h_array) in shifts:
+            calls = []
+
+            def counted(s, log_h=log_h):
+                calls.append(s)
+                return log_h(s)
+
+            performance._lobe_expectation(a, shift + link.r * log_b, link.r / c,
+                                          (counted, log_h_array))
+            assert len(calls) <= 40, (a, c, shift)
