@@ -5,14 +5,16 @@ an Exponential lobe (signal blockage by air bubbles) mixed with either a
 Generalized Gamma lobe (the primary model), a Gamma lobe (its shape-one
 special case, for thermally uniform water), or a Lognormal lobe (comparison
 baseline).  Each exposes the same surface: pdf, cdf, integer moments,
-scintillation index, and sampling.
+scintillation index, and sampling.  The shared ``_Mixture`` holds the
+exponential lobe, the weight and the mixing, and each variant writes only its
+second lobe; the Gamma lobe runs the Generalized Gamma lobe's code at c = 1.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -39,9 +41,9 @@ _EXP_LO, _EXP_HI = -745.0, 709.0
 # below this c ln(i/b), exp() nears the subnormal range and P(a, e^t) is taken
 # as its leading series term; the next term is a e^t/(a+1) < 1e-300 relative
 _GG_SERIES_T = -700.0
-_TINY = np.finfo(float).tiny
 
-# smallest positive normal float; guards sampled values against underflow to 0
+# smallest positive normal float: sampled values are kept at or above it, and
+# the GG CDF's deep-tail series reads a value below it as 0
 _TINY = float(np.finfo(float).tiny)
 
 
@@ -87,13 +89,33 @@ def _maybe_scalar(value, template):
 
 
 class _Mixture(ABC):
-    """Shared surface of the two-lobe irradiance models."""
+    """Exponential lobe of weight omega and scale lam, mixed with a second lobe.
+
+    The mixture owns the exponential lobe, the weight, the mixing of the log
+    density, CDF and moments, the sampler and the parameter mapping; a variant
+    supplies only its second lobe: ``_second_log_pdf``, ``_second_cdf``,
+    ``_second_moment`` and ``_sample_second``.  A lobe whose weight is below
+    WEIGHT_EPS is absent from the density and the CDF; a lobe whose weight is
+    exactly 0 is absent from the moments.
+    """
 
     variant: str
 
     @abstractmethod
     def _second_log_pdf(self, i, log_i):
         """log of the weighted second-lobe density (weight 1 - omega included)."""
+
+    @abstractmethod
+    def _second_cdf(self, i):
+        """Second-lobe CDF at an array of irradiances i >= 0."""
+
+    @abstractmethod
+    def _second_moment(self, n):
+        """Second-lobe E[I^n] for integer n >= 0."""
+
+    @abstractmethod
+    def _sample_second(self, rng, n):
+        """Draw n values from the second (non-exponential) lobe."""
 
     def component_log_pdfs(self, i, *, log_i=None):
         """Weighted per-lobe log densities (exponential lobe, second lobe) as arrays.
@@ -104,6 +126,8 @@ class _Mixture(ABC):
         if log_i is None:
             i = np.atleast_1d(_as_positive_array(i))
             log_i = np.log(i)
+        if 1.0 - self.omega < WEIGHT_EPS:
+            return self._exp_log_pdf(i), np.full_like(log_i, -np.inf)
         return self._exp_log_pdf(i), self._second_log_pdf(i, log_i)
 
     def log_pdf(self, i):
@@ -111,34 +135,35 @@ class _Mixture(ABC):
         log_mix = _log_mix(self.omega, *self.component_log_pdfs(i))[0]
         return log_mix[0] if np.ndim(i) == 0 else log_mix
 
-    @abstractmethod
-    def cdf(self, i):
-        """Mixture CDF at irradiance i >= 0."""
-
-    @abstractmethod
-    def moment(self, n):
-        """E[I^n] for integer n >= 0, from the closed-form component moments."""
-
-    @abstractmethod
-    def sample(self, rng, size=None):
-        """Draw irradiance values using ``rng`` (a numpy Generator)."""
-
-    @abstractmethod
-    def params_dict(self):
-        """Variant-specific parameter mapping (JSON-friendly)."""
-
     def pdf(self, i):
         out = np.exp(self.log_pdf(i))
         return _maybe_scalar(out, i)
 
-    @property
-    def effective_weight(self):
-        """Mixing weight with numerically absent components snapped to 0/1."""
-        if self.omega < WEIGHT_EPS:
-            return 0.0
-        if 1.0 - self.omega < WEIGHT_EPS:
-            return 1.0
-        return self.omega
+    def cdf(self, i):
+        """Mixture CDF at irradiance i >= 0."""
+        arr = _as_positive_array(i, allow_zero=True)
+        second = self._second_cdf(arr)
+        omega = self.omega
+        if omega < WEIGHT_EPS:
+            omega = 0.0
+        elif 1.0 - omega < WEIGHT_EPS:
+            omega = 1.0
+        out = omega * -np.expm1(-arr / self.lam) + (1.0 - omega) * second
+        return _maybe_scalar(out, i)
+
+    def moment(self, n):
+        """E[I^n] for integer n >= 0, from the closed-form lobe moments.
+
+        A lobe of weight 0 is left out, so that a second lobe whose moment
+        overflows does not stop the moments of a pure exponential model.
+        """
+        if n < 0 or n != int(n):
+            raise ValueError("moment order must be a non-negative integer")
+        n = int(n)
+        out = self.omega * self.lam**n * math.factorial(n) if self.omega > 0.0 else 0.0
+        if self.omega < 1.0:
+            out += (1.0 - self.omega) * self._second_moment(n)
+        return out
 
     def scintillation_index(self):
         """Normalized intensity variance E[I^2]/E[I]^2 - 1."""
@@ -149,20 +174,8 @@ class _Mixture(ABC):
     def mean(self):
         return self.moment(1)
 
-    def to_dict(self):
-        return {"model": self.variant, "params": self.params_dict()}
-
-    def _exp_log_pdf(self, i):
-        # log of the exponential-lobe density, weight included
-        if self.omega < WEIGHT_EPS:
-            return np.full_like(i, -np.inf)
-        out = np.divide(i, self.lam)
-        return np.subtract(math.log(self.omega) - math.log(self.lam), out, out=out)
-
-    def _exp_cdf(self, i):
-        return -np.expm1(-i / self.lam)
-
-    def _sample_components(self, rng, size):
+    def sample(self, rng, size=None):
+        """Draw irradiance values using ``rng`` (a numpy Generator)."""
         n = 1 if size is None else int(size)
         pick_exp = rng.random(n) < self.omega
         out = np.empty(n)
@@ -174,9 +187,24 @@ class _Mixture(ABC):
         np.maximum(out, _TINY, out=out)
         return float(out[0]) if size is None else out
 
-    @abstractmethod
-    def _sample_second(self, rng, n):
-        """Draw n values from the second (non-exponential) lobe."""
+    def params_dict(self):
+        """Variant-specific parameter mapping (JSON-friendly)."""
+        return dict(zip(_keys(self), astuple(self)))
+
+    def to_dict(self):
+        return {"model": self.variant, "params": self.params_dict()}
+
+    def _exp_log_pdf(self, i):
+        # log of the exponential-lobe density, weight included
+        if self.omega < WEIGHT_EPS:
+            return np.full_like(i, -np.inf)
+        out = np.divide(i, self.lam)
+        return np.subtract(math.log(self.omega) - math.log(self.lam), out, out=out)
+
+
+def _keys(variant):
+    """JSON names of a variant's parameters, in field order."""
+    return ["lambda" if f.name == "lam" else f.name for f in fields(variant)]
 
 
 def _validate_weight(omega):
@@ -213,16 +241,22 @@ class EggParams(_Mixture):
     c: float
 
     variant = "egg"
+    # each class holds its own cdf and sample, so that they can be wrapped
+    # per class (the benchmark's tracer looks them up in the class __dict__)
+    cdf, sample = _Mixture.cdf, _Mixture.sample
 
     def __post_init__(self):
         _validate_weight(self.omega)
         _validate_positive(lam=self.lam, a=self.a, b=self.b, c=self.c)
 
+    @property
+    def _gg(self):
+        """(a, b, c) of the GG lobe; EgParams runs this lobe's code at c = 1."""
+        return self.a, self.b, self.c
+
     def _second_log_pdf(self, i, log_i):
         # evaluated in log space: c up to a few hundred makes (i/b)^c overflow
-        if 1.0 - self.omega < WEIGHT_EPS:
-            return np.full_like(log_i, -np.inf)
-        a, b, c = self.a, self.b, self.c
+        a, b, c = self._gg
         if c == 1.0:
             # no log-exp round trip, so the Gamma special case is bit-exact
             power = i / b
@@ -241,34 +275,26 @@ class EggParams(_Mixture):
             out[overflow] = -np.inf
         return out
 
-    def cdf(self, i):
-        arr = _as_positive_array(i, allow_zero=True)
-        a = self.a
-        if self.c == 1.0:
-            gg = sp.gammainc(a, arr / self.b)
-        else:
-            with np.errstate(divide="ignore"):
-                t = self.c * (np.log(arr) - math.log(self.b))
-            x = np.exp(np.clip(t, _GG_SERIES_T, _EXP_HI))
-            x = np.where(t > _EXP_HI, np.inf, x)
-            # deep lower tail in log space: P(a, e^t) = e^{a t} / Gamma(a + 1)
-            series = np.exp(a * np.minimum(t, _GG_SERIES_T) - sp.gammaln(a + 1.0))
-            # subnormals read 0 as from scipy's P(a, x) past the switch: the CDF never falls
-            series = np.where(series < _TINY, 0.0, series)
-            gg = np.where(t < _GG_SERIES_T, series, sp.gammainc(a, x))
-        om = self.effective_weight
-        out = om * self._exp_cdf(arr) + (1.0 - om) * gg
-        return _maybe_scalar(out, i)
+    def _second_cdf(self, i):
+        a, b, c = self._gg
+        if c == 1.0:
+            return sp.gammainc(a, i / b)
+        with np.errstate(divide="ignore"):
+            t = c * (np.log(i) - math.log(b))
+        x = np.exp(np.clip(t, _GG_SERIES_T, _EXP_HI))
+        x = np.where(t > _EXP_HI, np.inf, x)
+        # deep lower tail in log space: P(a, e^t) = e^{a t} / Gamma(a + 1)
+        series = np.exp(a * np.minimum(t, _GG_SERIES_T) - sp.gammaln(a + 1.0))
+        # subnormals read 0 as from scipy's P(a, x) past the switch: the CDF never falls
+        series = np.where(series < _TINY, 0.0, series)
+        return np.where(t < _GG_SERIES_T, series, sp.gammainc(a, x))
 
-    def moment(self, n):
-        if n < 0 or n != int(n):
-            raise ValueError("moment order must be a non-negative integer")
-        n = int(n)
-        gg = self.b**n * math.exp(sp.gammaln(self.a + n / self.c) - sp.gammaln(self.a))
-        return self.omega * self.lam**n * math.factorial(n) + (1.0 - self.omega) * gg
+    def _second_moment(self, n):
+        a, b, c = self._gg
+        return b**n * math.exp(sp.gammaln(a + n / c) - sp.gammaln(a))
 
     def _sample_second(self, rng, n):
-        a, b, c = self.a, self.b, self.c
+        a, b, c = self._gg
         if a >= 0.1:
             return b * rng.standard_gamma(a, size=n) ** (1.0 / c)
         # small shapes: gamma draws underflow, so build log G from the
@@ -277,24 +303,14 @@ class EggParams(_Mixture):
         log_g += np.log(rng.random(n)) / a
         return b * np.exp(np.maximum(log_g / c, _EXP_LO))
 
-    def sample(self, rng, size=None):
-        return self._sample_components(rng, size)
-
-    def params_dict(self):
-        return {
-            "omega": self.omega,
-            "lambda": self.lam,
-            "a": self.a,
-            "b": self.b,
-            "c": self.c,
-        }
-
 
 @dataclass(frozen=True)
 class EgParams(_Mixture):
     """Exponential plus Gamma mixture (shape-one special case).
 
-    ``alpha`` and ``beta`` are the Gamma shape and scale.
+    ``alpha`` and ``beta`` are the Gamma shape and scale.  The Gamma lobe is
+    the Generalized Gamma lobe at c = 1 and runs EggParams' code, so this
+    model and ``as_egg()`` give the same floats.
     """
 
     omega: float
@@ -303,6 +319,7 @@ class EgParams(_Mixture):
     beta: float
 
     variant = "eg"
+    cdf, sample = _Mixture.cdf, _Mixture.sample  # per class: see EggParams
 
     def __post_init__(self):
         _validate_weight(self.omega)
@@ -312,51 +329,14 @@ class EgParams(_Mixture):
         """The same distribution as a power-shape-one EggParams."""
         return EggParams(self.omega, self.lam, self.alpha, self.beta, 1.0)
 
-    def _second_log_pdf(self, i, log_i):
-        if 1.0 - self.omega < WEIGHT_EPS:
-            return np.full_like(log_i, -np.inf)
-        al, be = self.alpha, self.beta
-        # term order mirrors the power-shape-one GG path so the two variants
-        # agree to the last bit
-        out = np.multiply(log_i, al - 1.0)
-        out += math.log1p(-self.omega)
-        out -= al * math.log(be)
-        out -= i / be
-        out -= sp.gammaln(al)
-        return out
+    @property
+    def _gg(self):
+        return self.alpha, self.beta, 1.0
 
-    def cdf(self, i):
-        arr = _as_positive_array(i, allow_zero=True)
-        om = self.effective_weight
-        out = om * self._exp_cdf(arr) + (1.0 - om) * sp.gammainc(
-            self.alpha, arr / self.beta
-        )
-        return _maybe_scalar(out, i)
-
-    def moment(self, n):
-        if n < 0 or n != int(n):
-            raise ValueError("moment order must be a non-negative integer")
-        n = int(n)
-        g = self.beta**n * math.exp(sp.gammaln(self.alpha + n) - sp.gammaln(self.alpha))
-        return self.omega * self.lam**n * math.factorial(n) + (1.0 - self.omega) * g
-
-    def _sample_second(self, rng, n):
-        if self.alpha >= 0.1:
-            return self.beta * rng.standard_gamma(self.alpha, size=n)
-        log_g = np.log(rng.standard_gamma(self.alpha + 1.0, size=n))
-        log_g += np.log(rng.random(n)) / self.alpha
-        return self.beta * np.exp(np.maximum(log_g, _EXP_LO))
-
-    def sample(self, rng, size=None):
-        return self._sample_components(rng, size)
-
-    def params_dict(self):
-        return {
-            "omega": self.omega,
-            "lambda": self.lam,
-            "alpha": self.alpha,
-            "beta": self.beta,
-        }
+    _second_log_pdf = EggParams._second_log_pdf
+    _second_cdf = EggParams._second_cdf
+    _second_moment = EggParams._second_moment
+    _sample_second = EggParams._sample_second
 
 
 @dataclass(frozen=True)
@@ -374,14 +354,13 @@ class ExpLognormalParams(_Mixture):
     sigma2: float
 
     variant = "explognormal"
+    cdf, sample = _Mixture.cdf, _Mixture.sample  # per class: see EggParams
 
     def __post_init__(self):
         _validate_weight(self.omega)
         _validate_positive(lam=self.lam, sigma2=self.sigma2)
 
     def _second_log_pdf(self, i, log_i):
-        if 1.0 - self.omega < WEIGHT_EPS:
-            return np.full_like(log_i, -np.inf)
         s2 = self.sigma2
         out = np.subtract(math.log1p(-self.omega), log_i)
         out -= 0.5 * math.log(2.0 * math.pi * s2)
@@ -391,44 +370,21 @@ class ExpLognormalParams(_Mixture):
         out -= z
         return out
 
-    def cdf(self, i):
-        arr = _as_positive_array(i, allow_zero=True)
-        s = math.sqrt(self.sigma2)
+    def _second_cdf(self, i):
         with np.errstate(divide="ignore"):
-            z = (np.log(arr) - self.mu) / s
-        om = self.effective_weight
-        out = om * self._exp_cdf(arr) + (1.0 - om) * sp.ndtr(z)
-        return _maybe_scalar(out, i)
+            z = (np.log(i) - self.mu) / math.sqrt(self.sigma2)
+        return sp.ndtr(z)
 
-    def moment(self, n):
-        if n < 0 or n != int(n):
-            raise ValueError("moment order must be a non-negative integer")
-        n = int(n)
-        ln_part = math.exp(n * self.mu + 0.5 * n**2 * self.sigma2)
-        return self.omega * self.lam**n * math.factorial(n) + (1.0 - self.omega) * ln_part
+    def _second_moment(self, n):
+        return math.exp(n * self.mu + 0.5 * n**2 * self.sigma2)
 
     def _sample_second(self, rng, n):
         return rng.lognormal(self.mu, math.sqrt(self.sigma2), size=n)
 
-    def sample(self, rng, size=None):
-        return self._sample_components(rng, size)
-
-    def params_dict(self):
-        return {
-            "omega": self.omega,
-            "lambda": self.lam,
-            "mu": self.mu,
-            "sigma2": self.sigma2,
-        }
-
 
 MixtureModel = Union[EggParams, EgParams, ExpLognormalParams]
 
-_VARIANTS = {
-    "egg": (EggParams, ("omega", "lambda", "a", "b", "c")),
-    "eg": (EgParams, ("omega", "lambda", "alpha", "beta")),
-    "explognormal": (ExpLognormalParams, ("omega", "lambda", "mu", "sigma2")),
-}
+_VARIANTS = {cls.variant: cls for cls in (EggParams, EgParams, ExpLognormalParams)}
 
 
 def model_from_dict(payload):
@@ -436,9 +392,10 @@ def model_from_dict(payload):
     try:
         variant = payload["model"]
         params = payload["params"]
-        cls, keys = _VARIANTS[variant]
+        cls = _VARIANTS[variant]
     except KeyError as exc:
         raise ValueError(f"unknown or incomplete model payload: {exc}") from exc
+    keys = _keys(cls)
     missing = [k for k in keys if k not in params]
     if missing:
         raise ValueError(f"model '{variant}' is missing parameters {missing}")

@@ -15,7 +15,7 @@ import contextvars
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -435,48 +435,44 @@ def _initial_params(samples, variant, cfg: EmConfig):
 
 
 def _perturb(params, rng):
-    """Multiplicative log-normal jitter for restart diversification."""
+    """Jitter for restart diversification, drawn field by field in declaration order.
+
+    Multiplicative log-normal jitter for omega (kept inside [1e-3, 1 - 1e-3])
+    and each positive parameter, additive normal jitter for the Lognormal mu.
+    """
     factor = lambda: float(rng.lognormal(0.0, 0.3))
-    omega = min(max(params.omega * factor(), 1e-3), 1.0 - 1e-3)
-    if isinstance(params, EggParams):
-        return EggParams(
-            omega, params.lam * factor(), params.a * factor(),
-            params.b * factor(), params.c * factor(),
-        )
-    if isinstance(params, EgParams):
-        return EgParams(omega, params.lam * factor(), params.alpha * factor(),
-                        params.beta * factor())
-    return ExpLognormalParams(
-        omega, params.lam * factor(),
-        params.mu + float(rng.normal(0.0, 0.3 * (abs(params.mu) + 0.1))),
-        params.sigma2 * factor(),
-    )
+    values = [min(max(params.omega * factor(), 1e-3), 1.0 - 1e-3)]
+    for f in fields(params)[1:]:
+        value = getattr(params, f.name)
+        if f.name == "mu":
+            values.append(value + float(rng.normal(0.0, 0.3 * (abs(value) + 0.1))))
+        else:
+            values.append(value * factor())
+    return type(params)(*values)
 
 
 def _param_vector(params):
-    if isinstance(params, EggParams):
-        return np.array([params.a, params.b, params.c, params.lam, params.omega])
-    if isinstance(params, EgParams):
-        return np.array([params.alpha, params.beta, params.lam, params.omega])
-    return np.array([params.mu, params.sigma2, params.lam, params.omega])
+    """The parameters as an array, in declaration order (omega, lam, second lobe)."""
+    return np.array([getattr(params, f.name) for f in fields(params)])
 
 
 def _squarem_point(theta0, theta1, theta2):
     """SQUAREM's extrapolation from two successive EM maps, or None where undefined.
 
     In unconstrained coordinates x (logit omega and ln of each positive
-    parameter; the Lognormal mu, first in its vector, as it is), with
-    r = x1 - x0, v = x2 - 2 x1 + x0 and the S3 step length alpha = -|r| / |v|
-    clamped to at most -1, the point is x0 - 2 alpha r + alpha^2 v; alpha = -1
-    gives theta2 itself.
+    parameter; the Lognormal mu as it is), with r = x1 - x0,
+    v = x2 - 2 x1 + x0 and the S3 step length alpha = -|r| / |v| clamped to
+    at most -1, the point is x0 - 2 alpha r + alpha^2 v; alpha = -1 gives
+    theta2 itself.
     """
-    k = 1 if isinstance(theta0, ExpLognormalParams) else 0
+    # every field but the Lognormal mu is logged; omega, the first, then goes on to its logit
+    logged = np.array([f.name != "mu" for f in fields(theta0)])
 
     def free(params):
         x = _param_vector(params)
         with np.errstate(divide="ignore"):
-            x[k:] = np.log(x[k:])
-            x[-1] -= np.log1p(-params.omega)
+            x[logged] = np.log(x[logged])
+            x[0] -= np.log1p(-params.omega)
         return x
 
     x0, x1, x2 = free(theta0), free(theta1), free(theta2)
@@ -487,11 +483,12 @@ def _squarem_point(theta0, theta1, theta2):
         return None
     alpha = min(-r_norm / v_norm, -1.0)
     x = x0 - 2.0 * alpha * r + alpha * alpha * v
+    x[0] = sp.expit(x[0])
+    logged[0] = False  # the rest back from their logs
     with np.errstate(over="ignore"):
-        x[k:-1] = np.exp(x[k:-1])
-    x[-1] = sp.expit(x[-1])
+        x[logged] = np.exp(x[logged])
     try:
-        return type(theta2)(float(x[-1]), float(x[-2]), *map(float, x[:-2]))
+        return type(theta2)(*map(float, x))
     except ValueError:
         return None  # a parameter left the range of a double
 
@@ -621,9 +618,11 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     :class:`FitReport` of the best restart, with every restart's diagnostics.
     A later restart replaces the one kept only when its final log-likelihood
     is higher by more than ``ASCENT_SLACK``, so restarts that end within
-    rounding of each other keep the earlier one.  The chains
-    run concurrently, one thread per core, and are read in restart order, so
-    the report has the same floats as chains run one after another.
+    rounding of each other keep the earlier one.  A restart that ends
+    degenerate, or with a log-likelihood or scintillation index that is not
+    finite, is listed in the diagnostics with its error and skipped.  The
+    chains run concurrently, one thread per core, and are read in restart
+    order, so the report has the same floats as chains run one after another.
     """
     if variant not in ("egg", "eg", "explognormal"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -656,6 +655,13 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
         if not math.isfinite(final_ll):
             diagnostics.append({"restart": k, "error": "non-finite log-likelihood"})
             continue
+        try:
+            si = float(params.scintillation_index())
+        except ArithmeticError:  # a lobe's moment overflows, or E[I]^2 underflows
+            si = math.nan
+        if not math.isfinite(si):
+            diagnostics.append({"restart": k, "error": "non-finite scintillation index"})
+            continue
         diagnostics.append({"restart": k, **run, "loglik": final_ll})
         report = FitReport(
             model=params,
@@ -667,7 +673,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
                 "min": float(resp.min()),
                 "max": float(resp.max()),
             },
-            scintillation_index=float(params.scintillation_index()),
+            scintillation_index=si,
             restart_index=k,
         )
         if best is None or report.loglik > best.loglik + ASCENT_SLACK:

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from uwoc.distributions import EggParams, EgParams, ExpLognormalParams, model_from_dict
 from uwoc.presets import ALL_CONDITIONS, condition
@@ -36,14 +37,22 @@ class TestPdf:
         assert integrate_pdf(ROW1, 0.0, math.inf) == pytest.approx(1.0, abs=1e-8)
 
     def test_shape_one_matches_gamma_mixture(self):
-        for cond in [condition("23.6lpm-0.22C"), condition("salty-16.5lpm")]:
-            eg = cond.eg
-            egg = eg.as_egg()
-            grid = np.logspace(-3, 1, 60)
-            assert np.allclose(egg.pdf(grid), eg.pdf(grid), rtol=1e-12, atol=0.0)
-            assert np.allclose(egg.cdf(grid), eg.cdf(grid), rtol=1e-12, atol=1e-300)
+        # oracle from scipy.stats' lobes and lgamma moments, not the package's GG lobe;
+        # at alpha = 3614 the log density cancels terms of size alpha |ln beta| ~ 3e4,
+        # and any two double-precision evaluations then agree only to ~1e-11
+        grid = np.logspace(-3, 1, 60)
+        for label, rtol in [("23.6lpm-0.22C", 1e-12), ("salty-16.5lpm", 1e-12), ("fresh-2.4lpm", 3e-11)]:
+            eg = condition(label).eg
+            w, lam, alpha, beta = eg.omega, eg.lam, eg.alpha, eg.beta
+            log_pdf = np.logaddexp(math.log(w) + stats.expon.logpdf(grid, scale=lam),
+                                   math.log1p(-w) + stats.gamma.logpdf(grid, alpha, scale=beta))
+            cdf = w * stats.expon.cdf(grid, scale=lam) + (1 - w) * stats.gamma.cdf(grid, alpha, scale=beta)
+            assert np.allclose(eg.pdf(grid), np.exp(log_pdf), rtol=rtol, atol=0.0)
+            assert np.allclose(eg.cdf(grid), cdf, rtol=1e-12, atol=1e-300)
             for n in range(4):
-                assert egg.moment(n) == pytest.approx(eg.moment(n), rel=1e-12)
+                gamma_moment = beta**n * math.exp(math.lgamma(alpha + n) - math.lgamma(alpha))
+                want = w * lam**n * math.factorial(n) + (1 - w) * gamma_moment
+                assert eg.moment(n) == pytest.approx(want, rel=rtol)
 
     def test_nonnegative(self):
         grid = np.logspace(-6, 2, 200)
@@ -177,6 +186,18 @@ class TestOtherVariants:
         eg = condition("16.5lpm-0.22C").eg
         want = integrate_pdf(eg, 0.0, 0.5)
         assert eg.cdf(0.5) == pytest.approx(want, abs=1e-7)
+
+    def test_eg_gives_the_floats_of_its_egg_form(self):
+        # the Gamma lobe runs the GG lobe's code at c = 1, small-shape sampler included
+        grid = np.concatenate([[0.0], np.logspace(-300, 300, 61), np.logspace(-3, 2, 101)])
+        models = [cond.eg for cond in ALL_CONDITIONS] + [EgParams(0.3, 0.5, 0.02, 50.0)]
+        for eg in models:
+            egg = eg.as_egg()
+            assert np.array_equal(eg.log_pdf(grid[1:]), egg.log_pdf(grid[1:]))
+            assert np.array_equal(eg.cdf(grid), egg.cdf(grid))
+            assert [eg.moment(n) for n in range(5)] == [egg.moment(n) for n in range(5)]
+            draws = [m.sample(np.random.default_rng(9), 2000) for m in (eg, egg)]
+            assert np.array_equal(*draws)
 
     def test_expln_moments_vs_sampling(self):
         model = condition("16.5lpm-0.22C").expln

@@ -465,6 +465,41 @@ class TestFit:
                                  "extrapolations_rejected", "converged", "loglik"}
             assert diag["restart"] == k and diag["iterations"] >= 1
 
+    def test_restart_with_overflowing_moments_is_listed_and_skipped(self, monkeypatch):
+        data = ROW1.sample(np.random.default_rng(47), 5000)
+        cfg = EmConfig(epsilon=1e-3, restarts=3)
+        em_once = em_module._em_once
+        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(1,)))
+        second_init = em_module._perturb(em_module._initial_params(data, "egg", cfg), rng)
+        runaway = EggParams(0.5, 0.99, 7.4e10, 3.1e-4, 8.3e-6)  # E[I^n] overflows
+
+        def runaway_second(*args):
+            # restart 1 ends at the runaway model, with the highest log-likelihood
+            params, resp, trace, run = em_once(*args)
+            if args[-1] == second_init:
+                return runaway, resp, trace + [trace[-1] + 1e3], run
+            return params, resp, trace, run
+
+        with pytest.raises(OverflowError):
+            runaway.moment(1)
+        monkeypatch.setattr(em_module, "_em_once", runaway_second)
+        report = fit(data, "egg", cfg)
+        assert report.diagnostics[1] == {"restart": 1, "error": "non-finite scintillation index"}
+        assert report.restart_index != 1 and report.model != runaway
+        assert math.isfinite(report.scintillation_index)
+
+    def test_restart_collapsed_to_the_exponential_lobe(self):
+        # restarts 1 and 2 end at omega = 1 with a runaway GG lobe (a ~ 7e10,
+        # c ~ 8e-6) whose moments overflow; they score as pure exponentials
+        data = ROW1.sample(np.random.default_rng(0), 5000)
+        report = fit(data, "egg", EmConfig(restarts=3))
+        assert report.restart_index == 0
+        assert report.loglik == pytest.approx(2966.535, abs=1e-3)
+
+    def test_collapsed_restart_is_a_pure_exponential(self):
+        # a lobe of weight 0 is left out of the moments, even where its own overflow
+        assert EggParams(1.0, 0.99, 7.4e10, 3.1e-4, 8.3e-6).scintillation_index() == 1.0
+
     def test_concurrent_restarts_equal_a_sequential_loop(self):
         data = condition("23.6lpm-0.22C").egg.sample(np.random.default_rng(5), 20_000)
         cfg = EmConfig(epsilon=1e-4, restarts=3, seed=2)

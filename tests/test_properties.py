@@ -4,7 +4,8 @@ The ranges hold every preset row with margin: exponential weight 0, 1e-23 to
 0.95, or 1; exponential scale 0.1 to 1.1; Generalized Gamma shape a from
 7.5e-3 to 4e3 and power shape c from 0.5 to 217, with the scale b that gives
 the GG lobe mean 1, as the normalised fits have; average SNR -10 to 80 dB;
-both detection modes.
+both detection modes.  The CDF property also draws EG models (Gamma lobe of
+mean 1) and Exp-Lognormal models (log-mean -3 to 3, log-variance 1e-4 to 4).
 """
 
 import math
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import gammaln
 
 from uwoc import performance
-from uwoc.distributions import EggParams, EgParams
+from uwoc.distributions import EggParams, EgParams, ExpLognormalParams
 from uwoc.errors import ConvergenceError
 from uwoc.performance import (
     CAPACITY_TAU,
@@ -66,6 +67,12 @@ def eg_models(draw):
     return EgParams(omega, lam, alpha, 1.0 / alpha)
 
 
+@st.composite
+def explognormal_models(draw):
+    omega, lam = draw(WEIGHTS), draw(SCALES)
+    return ExpLognormalParams(omega, lam, draw(st.floats(-3.0, 3.0)), draw(_log_uniform(1e-4, 4.0)))
+
+
 RECEIVERS = st.sampled_from([
     (IMDD, Modulation.ook()),
     (HETERODYNE, Modulation.bpsk()),
@@ -74,7 +81,7 @@ RECEIVERS = st.sampled_from([
 
 
 @PROFILE
-@given(models())
+@given(st.one_of(models(), eg_models(), explognormal_models()))
 # the series for the deep lower tail gave a subnormal where scipy's P(a, x) gives 0
 @example(_egg(0.0, 1.0, 1.03, 2.7))
 def test_cdf_is_a_distribution_function(model):
