@@ -317,8 +317,8 @@ def _newton_ascent(point, current):
 
 
 def _trigamma(a):
-    """psi'(a): the ufunc behind sp.polygamma(1, a), without its Python wrapper."""
-    return sp.zeta(2.0, a)
+    """psi'(a) = zeta(2, a), by the Hurwitz zeta ufunc that ``scipy.special.zeta`` wraps."""
+    return sp._zeta(2.0, a)
 
 
 def _solve_gamma_shape(spread):
@@ -338,16 +338,16 @@ def _solve_gamma_shape(spread):
     a = min(max(a, 1e-12), 1e14)
     lo, hi = a, a
     for _ in range(200):
-        if math.log(lo) - sp.digamma(lo) - spread >= 0.0:
+        if math.log(lo) - sp.psi(lo) - spread >= 0.0:
             break
         lo /= 4.0
     for _ in range(200):
-        if math.log(hi) - sp.digamma(hi) - spread <= 0.0:
+        if math.log(hi) - sp.psi(hi) - spread <= 0.0:
             break
         hi *= 4.0
     last_step = math.inf
     for _ in range(_SHAPE_ITERS):
-        g = math.log(a) - sp.digamma(a) - spread
+        g = math.log(a) - sp.psi(a) - spread
         if g == 0.0:
             return a
         if g > 0.0:

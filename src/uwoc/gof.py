@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MixtureModel
-from .errors import HistogramError, UndefinedScoreError
+from .errors import DataError, HistogramError, UndefinedScoreError
 
 __all__ = [
     "Histogram",
@@ -60,6 +60,15 @@ class Histogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
+def _finite_samples(samples):
+    """Samples as a flat float array; finite or DataError with the first bad index."""
+    arr = np.asarray(samples, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        raise DataError(f"sample {bad[0]} is not finite ({arr[bad[0]]})", index=int(bad[0]))
+    return arr
+
+
 def mse_cdf(samples, model: MixtureModel):
     """Mean squared CDF error at the sorted sample points.
 
@@ -67,7 +76,7 @@ def mse_cdf(samples, model: MixtureModel):
     position (i - 0.5)/n, which avoids the guaranteed nonzero end-point
     residuals of the i/n convention.
     """
-    arr = np.sort(np.asarray(samples, dtype=float).ravel())
+    arr = np.sort(_finite_samples(samples))
     if arr.size == 0:
         raise ValueError("need at least one sample")
     n = arr.size
@@ -82,7 +91,7 @@ def build_histogram(samples, bins="auto"):
     ``bins='auto'`` applies the Freedman-Diaconis count clamped into
     ``DEFAULT_BIN_RANGE``; all-equal samples cannot be binned.
     """
-    arr = np.asarray(samples, dtype=float).ravel()
+    arr = _finite_samples(samples)
     if arr.size < 2:
         raise HistogramError("need at least two samples to build a histogram")
     lo, hi = float(arr.min()), float(arr.max())

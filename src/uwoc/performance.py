@@ -10,10 +10,10 @@ vectorized Gauss-Kronrod panels seeded at the peak, the parts are summed in
 log space, and the value is returned only when the error bound of the total
 is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).  Values
 below the double range therefore come back certified as 0.0 or subnormal.
-The route needs numpy and ``scipy.special`` only.  The paper's Fox H closed
-forms stay available as ``method='foxh'``, their contour integrals on the
-same Gauss-Kronrod panels, and every metric has a high-SNR asymptote in
-elementary functions.
+The route needs numpy and the compiled ufuncs of ``scipy.special`` only.
+The paper's Fox H closed forms stay available as ``method='foxh'``, their
+contour integrals on the same Gauss-Kronrod panels, and every metric has a
+high-SNR asymptote in elementary functions.
 
 The exponential lobe omega/lambda e^(-I/lambda) is the Generalized Gamma
 lobe GG(a = 1, b = lambda, c = 1), so every closed form, asymptote and the
@@ -651,5 +651,5 @@ def capacity_asymptotic(link: LinkBudget):
     r, log_mu = link.r, math.log(link.mu_r)
     out = math.log(CAPACITY_TAU)
     for log_w, a, log_b, c in _lobes(link.params):
-        out += math.exp(log_w) * (r * log_b + log_mu + (r / c) * sp.digamma(a))
+        out += math.exp(log_w) * (r * log_b + log_mu + (r / c) * sp.psi(a))
     return out

@@ -5,21 +5,23 @@ in one array call carries the lobe integrals of the BER and capacity route,
 and the Fox H evaluator's Mellin-Barnes integral along a vertical contour.
 ``adaptive_quad`` wraps QUADPACK (``scipy.integrate.quad``) with the same
 contract, an error bound or :class:`ConvergenceError`, and stays as the
-tests' oracle.  Gamma-family functions come straight from
-``scipy.special``, through ``sp``, which loads it on first use.
+tests' oracle.  Gamma-family functions are ``scipy.special``'s compiled
+ufuncs, through ``sp``, which loads them on first use.
 """
 
 from __future__ import annotations
 
-import importlib
+import importlib.util
 import math
+import sys
+import threading
 import types
 from dataclasses import dataclass, field
 
 import numpy as np
 
-# SciPy loads on first use: scipy.integrate inside adaptive_quad, scipy.special
-# through ``sp``; importing uwoc loads none of them
+# SciPy loads on first use: scipy.integrate inside adaptive_quad, the ufuncs
+# of scipy.special through ``sp``; importing uwoc loads none of them
 
 from .errors import ConvergenceError
 
@@ -51,20 +53,41 @@ DEFAULT_QUAD = QuadratureConfig()
 
 
 class _OnFirstUse(types.ModuleType):
-    """The module of this name, imported on the first attribute read.
+    """``scipy.special._ufuncs``, imported on the first attribute read.
 
     That read copies its namespace in and makes this a plain module, as
-    ``importlib.util.LazyLoader`` does.  Threads that read first at once are
-    safe: the import lock runs the init once; the copy and swap are idempotent.
+    ``importlib.util.LazyLoader`` does; ``_LOAD_LOCK`` makes threads that read
+    first at once load it once.  The import skips the package ``__init__``,
+    and with it SciPy's array-API layer, which uwoc never uses.
     """
 
     def __getattr__(self, attr):
-        self.__dict__.update(vars(importlib.import_module(self.__name__)))
-        self.__class__ = types.ModuleType
+        with _LOAD_LOCK:
+            if type(self) is _OnFirstUse:
+                self.__dict__.update(vars(_import_ufuncs()))
+                self.__class__ = types.ModuleType
         return getattr(self, attr)
 
 
-sp = _OnFirstUse("scipy.special")  # not put in sys.modules
+def _import_ufuncs():
+    """The ufuncs module; a later ``import scipy.special`` runs the real ``__init__`` on it."""
+    name = "scipy.special"
+    if name not in sys.modules:  # a bare package stands in while the ufuncs load
+        stub = types.ModuleType(name)
+        try:
+            stub.__path__ = importlib.util.find_spec(name).submodule_search_locations
+            sys.modules[name] = stub
+            return importlib.import_module(name + "._ufuncs")
+        except (ImportError, AttributeError):  # moved since SciPy 1.17: the ordinary import
+            pass
+        finally:
+            if sys.modules.get(name) is stub:
+                del sys.modules[name]
+    return importlib.import_module(name + "._ufuncs")
+
+
+_LOAD_LOCK = threading.Lock()
+sp = _OnFirstUse("scipy.special._ufuncs")  # not put in sys.modules
 
 
 def _check_positive(name, x):

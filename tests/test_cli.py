@@ -29,15 +29,24 @@ def sample_file(tmp_path):
     return path
 
 
-def _loaded_scipy(code, *argv, timeout=120):
-    """The ``scipy*`` modules a fresh process has loaded after ``code`` ran with ``argv``."""
-    code += ("\nimport json, sys\n"
-             "print(json.dumps([m for m in sys.modules if m.startswith('scipy')]))")
+def _python(code, *argv, timeout=120):
+    """Run ``code`` with ``argv`` in a fresh interpreter that imports this uwoc; its stdout."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__)))
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", code, *argv], env=env,
                           capture_output=True, text=True, check=True, timeout=timeout)
-    return set(json.loads(done.stdout.splitlines()[-1]))
+    return done.stdout
+
+
+def _loaded_modules(code, *argv, timeout=120):
+    """The modules a fresh process has loaded after ``code`` ran with ``argv``."""
+    code += "\nimport json, sys\nprint(json.dumps(list(sys.modules)))"
+    return set(json.loads(_python(code, *argv, timeout=timeout).splitlines()[-1]))
+
+
+def _loaded_scipy(code, *argv, timeout=120):
+    """The ``scipy*`` modules a fresh process has loaded after ``code`` ran with ``argv``."""
+    return {m for m in _loaded_modules(code, *argv, timeout=timeout) if m.startswith("scipy")}
 
 
 # runs the CLI on sys.argv[1:] and requires exit status 0
@@ -45,6 +54,20 @@ RUN_CLI = ("import runpy, sys; sys.argv = sys.argv[1:]\n"
            "try:\n    runpy.run_module('uwoc.cli', run_name='__main__')\n"
            "except SystemExit as exc:\n    assert exc.code == 0, exc.code")
 INTEGRATE_OPTIMIZE = {"scipy.integrate", "scipy.optimize"}
+# the scipy.special package and its array-API layer, none of which uwoc uses
+SPECIAL_PACKAGE = {"scipy.special", "scipy.special._support_alternative_backends",
+                   "numpy.testing", "numpy.f2py"}
+
+
+@pytest.fixture()
+def small_fit(tmp_path):
+    """A 2000-sample file and a one-restart EGG fit report of it."""
+    samples, report = tmp_path / "samples.txt", tmp_path / "report.json"
+    assert run(["synth", "--params", ROW1, "--n", "2000", "--seed", "5",
+                "--output", str(samples)]) == 0
+    assert run(["fit", "--input", str(samples), "--eps", "1e-3", "--restarts", "1",
+                "--output", str(report)]) == 0
+    return samples, report
 
 
 class TestImport:
@@ -88,6 +111,39 @@ class TestImport:
                 "--output", str(tmp_path / "report.json")]
         assert "scipy.optimize" not in _loaded_scipy(RUN_CLI, *argv, timeout=300)
         assert json.loads((tmp_path / "report.json").read_text())["converged"] is True
+
+    def test_commands_load_only_the_ufuncs_of_scipy_special(self, tmp_path, small_fit):
+        samples, report = small_fit
+        out = str(tmp_path / "out")
+        commands = [
+            ["fit", "--input", str(samples), "--eps", "1e-3", "--output", out],
+            ["gof", "--input", str(samples), "--report", str(report), "--output", out],
+            ["perf", "ber", "--params", SALTY165, "--detection", "imdd", "--modulation", "ook",
+             "--snr-db", "0:40:10", "--output", out],
+            ["simulate", "ber", "--report", str(report), "--detection", "imdd",
+             "--modulation", "ook", "--snr-db", "0:20:10", "--samples", "20000",
+             "--output", out],
+        ]
+        for argv in commands:
+            loaded = _loaded_modules(RUN_CLI, "uwoc", *argv, timeout=300)
+            assert "scipy.special._ufuncs" in loaded, argv[0]
+            assert not loaded & SPECIAL_PACKAGE, (argv[0], loaded & SPECIAL_PACKAGE)
+        assert _loaded_scipy(RUN_CLI, "uwoc", "synth", "--params", ROW1, "--n", "100",
+                             "--output", out) == set()
+
+    @pytest.mark.parametrize("command", ["perf", "gof"])
+    def test_same_bytes_with_scipy_special_loaded_first(self, tmp_path, small_fit, command):
+        # the fallback takes the ufuncs from the package that is already loaded
+        samples, report = small_fit
+        argv = {
+            "perf": ["perf", "ber", "--params", SALTY165, "--detection", "imdd",
+                     "--modulation", "ook", "--snr-db=-10:80:5"],
+            "gof": ["gof", "--input", str(samples), "--report", str(report)],
+        }[command]
+        fresh, after = tmp_path / "fresh.out", tmp_path / "after.out"
+        _python(RUN_CLI, "uwoc", *argv, "--output", str(fresh))
+        _python("import scipy.special\n" + RUN_CLI, "uwoc", *argv, "--output", str(after))
+        assert fresh.read_bytes() == after.read_bytes() != b""
 
 
 class TestSynth:

@@ -1,10 +1,11 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from uwoc.distributions import EggParams
-from uwoc.errors import HistogramError, UndefinedScoreError
+from uwoc.errors import DataError, HistogramError, UndefinedScoreError
 from uwoc.gof import Histogram, build_histogram, mse_cdf, r_square
 from uwoc.presets import condition
 
@@ -63,6 +64,31 @@ class TestBuildHistogram:
     def test_invalid_construction(self):
         with pytest.raises(HistogramError):
             Histogram(np.array([0.0, 1.0, 0.5]), np.array([1.0, 1.0]), np.array([1, 1]))
+
+
+class TestNonFiniteSamples:
+    # the index is the first bad sample in the order given, before any sort
+    CASES = [([0.5, np.nan, 1.0], 1), ([0.5, np.inf], 1), ([0.9, 0.0, -np.inf, np.nan], 2)]
+
+    @pytest.mark.parametrize("samples, index", CASES)
+    def test_build_histogram(self, samples, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as info:
+                build_histogram(samples)
+        assert info.value.index == index
+
+    @pytest.mark.parametrize("samples, index", CASES)
+    def test_mse_cdf(self, samples, index):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as info:
+                mse_cdf(samples, ROW1)
+        assert info.value.index == index
+
+    def test_zero_is_a_sample(self):
+        assert build_histogram([0.0, 0.5, 1.0], bins=2).counts.tolist() == [1, 2]
+        assert 0.0 <= mse_cdf([0.0, 0.5, 1.0], ROW1) < 1.0
 
 
 class TestRSquare:

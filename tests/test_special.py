@@ -1,6 +1,7 @@
 import math
 import os
 import pickle
+import re
 import subprocess
 import sys
 import textwrap
@@ -151,6 +152,17 @@ def _fresh(code):
                    timeout=120)
 
 
+def _names_read_from_sp():
+    """Every ``sp.<name>`` that a module of this uwoc reads."""
+    pkg = os.path.dirname(os.path.abspath(sys.modules["uwoc"].__file__))
+    names = set()
+    for fname in os.listdir(pkg):
+        if fname.endswith(".py"):
+            with open(os.path.join(pkg, fname)) as fh:
+                names.update(re.findall(r"\bsp\.(\w+)", fh.read()))
+    return sorted(names)
+
+
 class TestScipySpecialOnFirstUse:
     def test_first_call_makes_a_plain_module(self):
         _fresh("""
@@ -171,6 +183,33 @@ class TestScipySpecialOnFirstUse:
             import scipy.special
             assert gammaln is scipy.special.gammaln and sp.erfcx is scipy.special.erfcx
             assert sys.modules["scipy.special"] is scipy.special is not sp
+        """)
+
+    @pytest.mark.parametrize("first", [
+        "fast = True",
+        "import scipy.special; fast = False",
+        "import importlib.util; importlib.util.find_spec = lambda name: None; fast = False",
+    ])
+    def test_every_name_read_is_the_package_object(self, first):
+        # the first read loads only the ufuncs, unless scipy.special came in before
+        # it or the bare-package import fails; the ordinary import then loads it
+        names = _names_read_from_sp()
+        assert {"gammaln", "psi", "_zeta"} <= set(names)
+        _fresh(f"""
+            import sys
+            import numpy as np
+            {first}
+            from uwoc.special import sp
+            got = {{name: getattr(sp, name) for name in {names!r}}}
+            assert ("scipy.special" not in sys.modules) is fast
+            import scipy.special
+            assert "scipy.special._support_alternative_backends" in sys.modules
+            zeta = got.pop("_zeta")
+            assert zeta is scipy.special._ufuncs._zeta
+            assert all(f is getattr(scipy.special, name) for name, f in got.items())
+            assert got["psi"] is scipy.special.digamma
+            a = np.logspace(-3.0, 12.0, 2001)
+            assert np.array_equal(zeta(2.0, a), scipy.special.zeta(2.0, a))
         """)
 
     def test_one_object_for_every_module(self):
