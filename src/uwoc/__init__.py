@@ -1,40 +1,50 @@
-"""Two-lobe turbulence fading toolkit for underwater optical links."""
+"""Two-lobe turbulence fading toolkit for underwater optical links.
 
-from .distributions import EggParams, EgParams, ExpLognormalParams, MixtureModel, model_from_dict
-from .em import EmConfig, FitReport, e_step, fit, log_likelihood, m_step_exp, m_step_gg, update_omega
-from .gof import Histogram, build_histogram, mse_cdf, r_square
-from .montecarlo import SimConfig, simulate, simulate_ber, simulate_capacity, simulate_outage
-from .presets import ALL_CONDITIONS, GRADIENT_CONDITIONS, UNIFORM_CONDITIONS, ChannelCondition, condition
-from .errors import (
-    ConvergenceError,
-    DataError,
-    DegenerateComponentError,
-    FitFailureError,
-    HistogramError,
-    UndefinedScoreError,
-    UwocError,
-)
-from .performance import (
-    CAPACITY_TAU,
-    HETERODYNE,
-    IMDD,
-    DetectionMode,
-    LinkBudget,
-    Modulation,
-    avg_ber,
-    avg_ber_asymptotic,
-    avg_ber_quadrature,
-    capacity_asymptotic,
-    capacity_quadrature,
-    electrical_snr,
-    ergodic_capacity,
-    modulation_params,
-    outage,
-    snr_cdf,
-    snr_cdf_asymptotic,
-    snr_moment,
-    snr_pdf,
-)
-from .special import FoxHSpec, QuadratureConfig, adaptive_quad, fox_h
+The public names load on first use (PEP 562): ``import uwoc`` imports no
+submodule, and ``uwoc.fit`` imports ``uwoc.em`` when it is first read.  Each
+read looks the name up in its submodule again, and nothing is cached here,
+so a name replaced in its submodule (as a tracer's wrapper is) reads as the
+replacement.
+"""
+
+from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
+
+# submodule -> the public names it defines
+_EXPORTS = {
+    "distributions": ("EggParams", "EgParams", "ExpLognormalParams", "MixtureModel",
+                      "model_from_dict"),
+    "em": ("EmConfig", "FitReport", "e_step", "fit", "log_likelihood", "m_step_exp",
+           "m_step_gg", "update_omega"),
+    "gof": ("Histogram", "build_histogram", "mse_cdf", "r_square"),
+    "montecarlo": ("SimConfig", "simulate", "simulate_ber", "simulate_capacity",
+                   "simulate_outage"),
+    "presets": ("ALL_CONDITIONS", "GRADIENT_CONDITIONS", "UNIFORM_CONDITIONS",
+                "ChannelCondition", "condition"),
+    "errors": ("ConvergenceError", "DataError", "DegenerateComponentError", "FitFailureError",
+               "HistogramError", "UndefinedScoreError", "UwocError"),
+    "performance": ("CAPACITY_TAU", "HETERODYNE", "IMDD", "DetectionMode", "LinkBudget",
+                    "Modulation", "avg_ber", "avg_ber_asymptotic", "avg_ber_quadrature",
+                    "capacity_asymptotic", "capacity_quadrature", "electrical_snr",
+                    "ergodic_capacity", "modulation_params", "outage", "snr_cdf",
+                    "snr_cdf_asymptotic", "snr_moment", "snr_pdf"),
+    "special": ("FoxHSpec", "QuadratureConfig", "adaptive_quad", "fox_h"),
+}
+
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = list(_MODULE_OF)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # a submodule read before anything imported it
+        return _import_module(f".{name}", __name__)
+    module = _MODULE_OF.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(_import_module(f".{module}", __name__), name)
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})

@@ -4,7 +4,9 @@ Subcommands: ``fit`` (EM estimation from a sample file), ``gof`` (re-score a
 fit against samples), ``perf`` (outage/BER/capacity curves from closed
 forms), ``simulate`` (the same curves by Monte Carlo), and ``synth``
 (synthetic sample generation).  Reports are JSON, curves and samples are
-CSV-like text, and every command is deterministic given its flags.
+CSV-like text, and every command is deterministic given its flags.  Each
+``cmd_*`` imports the modules it runs, so a process loads only its own
+command's code.
 
 Exit codes: 0 success, 2 invalid input or flags, 3 numerical failure.
 """
@@ -23,21 +25,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import EggParams, MixtureModel, model_from_dict
-from .em import EmConfig, fit
 from .errors import UwocError
-from .gof import build_histogram, mse_cdf, r_square
-from .montecarlo import SimConfig, simulate
-from .performance import (
-    DetectionMode,
-    LinkBudget,
-    Modulation,
-    avg_ber,
-    avg_ber_asymptotic,
-    capacity_asymptotic,
-    ergodic_capacity,
-    outage,
-    snr_cdf_asymptotic,
-)
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -198,6 +186,7 @@ def _build_modulation(args, mode):
         return None
     if not args.modulation:
         raise _UserError("ber curves need --modulation")
+    from .performance import Modulation
     try:
         modulation = Modulation.parse(args.modulation)
     except ValueError as exc:
@@ -215,6 +204,9 @@ def _build_modulation(args, mode):
 # ---------------------------------------------------------------------------
 
 def cmd_fit(args):
+    from .em import EmConfig, fit
+    from .gof import build_histogram, mse_cdf, r_square
+
     samples = read_samples(args.input)
     cfg = EmConfig(
         epsilon=args.eps,
@@ -251,6 +243,8 @@ def cmd_fit(args):
 
 
 def cmd_gof(args):
+    from .gof import build_histogram, mse_cdf, r_square
+
     samples = read_samples(args.input)
     model, _ = _load_report_model(args.report)
     bins = "auto" if args.bins in (None, "auto") else int(args.bins)
@@ -268,6 +262,15 @@ def cmd_gof(args):
 
 
 def _metric_values(link, metric, modulation, asymptotic):
+    from .performance import (
+        avg_ber,
+        avg_ber_asymptotic,
+        capacity_asymptotic,
+        ergodic_capacity,
+        outage,
+        snr_cdf_asymptotic,
+    )
+
     if metric == "outage":
         exact = outage(link)
         asym = snr_cdf_asymptotic(link, link.gamma_th) if asymptotic else None
@@ -281,6 +284,8 @@ def _metric_values(link, metric, modulation, asymptotic):
 
 
 def cmd_perf(args):
+    from .performance import DetectionMode, LinkBudget
+
     params = _resolve_params(args)
     mode = DetectionMode.parse(args.detection)
     modulation = _build_modulation(args, mode)
@@ -298,6 +303,9 @@ def cmd_perf(args):
 
 
 def cmd_simulate(args):
+    from .montecarlo import SimConfig, simulate
+    from .performance import DetectionMode, LinkBudget
+
     params = _resolve_params(args)
     mode = DetectionMode.parse(args.detection)
     modulation = _build_modulation(args, mode)

@@ -187,7 +187,7 @@ def _exp_scale(samples, resp):
     mass = resp.sum()
     if mass <= _MASS_EPS * samples.size:
         raise DegenerateComponentError("exponential component has no responsibility mass")
-    return _dot(resp, samples) / mass
+    return float(_dot(resp, samples) / mass)
 
 
 def _dot(x, y):
@@ -263,7 +263,7 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
         best = max((p for p in visited if abs(p.log_b) <= _LOG_B_MAX), key=lambda p: p.q, default=None)
         if best is None:
             raise DegenerateComponentError("no power shape gives the GG component a finite scale")
-    return best.a, math.exp(best.log_b), math.exp(best.u)
+    return float(best.a), math.exp(best.log_b), math.exp(best.u)
 
 
 @dataclass(frozen=True)
@@ -373,7 +373,7 @@ def _m_step_gamma(samples, log_i, responsibilities):
     mean = _dot(weights, samples) / w_total
     mean_log = _dot(weights, log_i) / w_total
     spread = math.log(mean) - mean_log
-    alpha = _solve_gamma_shape(spread)
+    alpha = float(_solve_gamma_shape(spread))
     return alpha, mean / alpha
 
 
@@ -621,8 +621,10 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     rounding of each other keep the earlier one.  A restart that ends
     degenerate, or with a log-likelihood or scintillation index that is not
     finite, is listed in the diagnostics with its error and skipped.  The
-    chains run concurrently, one thread per core, and are read in restart
-    order, so the report has the same floats as chains run one after another.
+    chains run concurrently, one thread a restart up to two a core (so the
+    three default restarts run at once on a two-core machine), and are read
+    in restart order, so the report has the same floats as chains run one
+    after another.
     """
     if variant not in ("egg", "eg", "explognormal"):
         raise ValueError(f"unknown variant {variant!r}")
@@ -641,7 +643,9 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     inits = [base_init] + [_perturb(base_init, np.random.default_rng(seed)) for seed in seeds]
     best = None
     diagnostics = []
-    with ThreadPoolExecutor(min(cfg.restarts, os.cpu_count() or 1)) as pool:
+    # one thread a restart, up to two a core: a chain that waits for a thread
+    # delays the report by a whole chain
+    with ThreadPoolExecutor(min(cfg.restarts, 2 * (os.cpu_count() or 1))) as pool:
         # each chain runs in a copy of the caller's context, which carries np.errstate
         chains = [pool.submit(contextvars.copy_context().run, _em_once, arr, log_i, variant, cfg, init)
                   for init in inits]

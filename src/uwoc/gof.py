@@ -7,6 +7,7 @@ determination between the model density and a normalized histogram.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,12 +61,14 @@ class Histogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def _finite_samples(samples):
-    """Samples as a flat float array; finite or DataError with the first bad index."""
+def _irradiance_samples(samples):
+    """Samples as a flat float array, each finite and >= 0; else DataError at the first bad one."""
     arr = np.asarray(samples, dtype=float).ravel()
-    bad = np.flatnonzero(~np.isfinite(arr))
+    bad = np.flatnonzero(~((arr >= 0.0) & (arr < np.inf)))
     if bad.size:
-        raise DataError(f"sample {bad[0]} is not finite ({arr[bad[0]]})", index=int(bad[0]))
+        k = int(bad[0])
+        problem = "is negative" if np.isfinite(arr[k]) else "is not finite"
+        raise DataError(f"sample {k} {problem} ({arr[k]})", index=k)
     return arr
 
 
@@ -76,7 +79,7 @@ def mse_cdf(samples, model: MixtureModel):
     position (i - 0.5)/n, which avoids the guaranteed nonzero end-point
     residuals of the i/n convention.
     """
-    arr = np.sort(_finite_samples(samples))
+    arr = np.sort(_irradiance_samples(samples))
     if arr.size == 0:
         raise ValueError("need at least one sample")
     n = arr.size
@@ -89,9 +92,11 @@ def build_histogram(samples, bins="auto"):
     """Equal-width histogram over [min, max] with unit-integral densities.
 
     ``bins='auto'`` applies the Freedman-Diaconis count clamped into
-    ``DEFAULT_BIN_RANGE``; all-equal samples cannot be binned.
+    ``DEFAULT_BIN_RANGE``.  All-equal samples cannot be binned, nor samples
+    whose span is too narrow for ``bins`` distinct edges, or too wide for the
+    densities to be finite.
     """
-    arr = _finite_samples(samples)
+    arr = _irradiance_samples(samples)
     if arr.size < 2:
         raise HistogramError("need at least two samples to build a histogram")
     lo, hi = float(arr.min()), float(arr.max())
@@ -99,10 +104,10 @@ def build_histogram(samples, bins="auto"):
         raise HistogramError("all samples are equal; histogram is degenerate")
     if bins == "auto":
         q75, q25 = np.percentile(arr, [75, 25])
-        iqr = q75 - q25
+        iqr = float(q75 - q25)
         if iqr > 0:
             width = 2.0 * iqr / arr.size ** (1.0 / 3.0)
-            m = int(np.ceil((hi - lo) / width))
+            m = math.ceil(min((hi - lo) / width, DEFAULT_BIN_RANGE[1]))  # the ratio may be inf
         else:
             m = DEFAULT_BIN_RANGE[1]
         m = int(np.clip(m, *DEFAULT_BIN_RANGE))
@@ -110,8 +115,14 @@ def build_histogram(samples, bins="auto"):
         m = int(bins)
         if m < 1:
             raise HistogramError("bin count must be >= 1")
-    counts, edges = np.histogram(arr, bins=m, range=(lo, hi))
+    try:
+        counts, edges = np.histogram(arr, bins=m, range=(lo, hi))
+    except ValueError as exc:  # the edges of a subnormal span coincide
+        raise HistogramError(f"cannot split [{lo!r}, {hi!r}] into {m} bins: {exc}") from exc
     widths = np.diff(edges)
+    widest = float(widths.max())
+    if not math.isfinite(arr.size * widest):  # n * width scales the densities
+        raise HistogramError(f"{arr.size} samples in bins {widest!r} wide overflow the densities")
     densities = counts / (arr.size * widths)
     # exact renormalization against accumulated rounding
     densities = densities / float(np.sum(densities * widths))

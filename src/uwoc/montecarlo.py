@@ -2,9 +2,10 @@
 
 Draws fading realizations in fixed-size chunks, each from an independent
 substream keyed by (seed, chunk index).  One draw of a chunk serves every SNR
-point and metric of a call, and the chunks' means and squared deviations
-merge in chunk order, so each estimate is bit-identical to a run of its point
-alone, however the chunks are executed.
+point and metric of a call; the points' statistics of a chunk are computed on
+a thread pool, one thread per core, and the chunks' means and squared
+deviations merge in chunk order, so each estimate is bit-identical to a run
+of its point alone, however the chunks and points are executed.
 
 The BER estimator averages the conditional error probability of each draw
 (the kernel the analytic expression integrates) instead of simulating bit
@@ -13,7 +14,11 @@ decisions, which removes the noise-realization variance entirely.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +62,14 @@ def simulate(links, metrics, cfg: SimConfig = SimConfig(), modulation: Modulatio
 
     The links share ``params`` and ``r``; ``metrics`` are among "outage",
     "ber" (with ``modulation``) and "capacity".  Each chunk is drawn and raised
-    to I^r once, and each (metric, link) statistic merges into its own
-    accumulator by Chan's parallel update of (n, mean, M2), which keeps the
-    variance exact when it is small against the squared mean.
+    to I^r once.  Each link's chunk mean and sum of squared deviations of
+    each metric are computed on a pool of ``min(len(links), cpu_count)``
+    threads (none for one link), each task in a copy of the caller's
+    context, so it keeps the caller's ``np.errstate``; every task holds about
+    three chunk-sized arrays.  In link order, each (metric, link) statistic
+    then merges into its own accumulator by Chan's parallel update of
+    (n, mean, M2), which keeps the variance exact when it is small against
+    the squared mean.
     Returns {metric: [(mean, se) of each link]}.
     """
     stats = {
@@ -73,24 +83,41 @@ def simulate(links, metrics, cfg: SimConfig = SimConfig(), modulation: Modulatio
         raise ValueError(f"metrics must be among {sorted(stats)}, ber with a modulation: {metrics!r}")
     for link in links if "ber" in metrics else ():
         _check_compat(link, modulation)
+
+    def chunk_stats(link, x):
+        """(mean, sum of squared deviations) of each metric over one chunk at ``link``."""
+        gamma = link.mu_r * x
+        out = []
+        for metric in metrics:
+            values = stats[metric](link, gamma)
+            chunk_mean = float(values.mean())
+            centred = values - chunk_mean
+            # a fixed-order sum: np.dot's order depends on the BLAS thread count
+            out.append((chunk_mean, float(np.einsum("i,i->", centred, centred))))
+        return out
+
     n = 0
     acc = {(metric, j): (0.0, 0.0) for metric in metrics for j in range(len(links))}
-    for index, size in enumerate(_chunk_sizes(cfg)):
-        x = links[0].params.sample(_chunk_rng(cfg, index), size) ** links[0].r
-        total = n + size
-        for j, link in enumerate(links):
-            gamma = link.mu_r * x
-            for metric in metrics:
-                values = stats[metric](link, gamma)
-                chunk_mean = float(values.mean())
-                centred = values - chunk_mean
-                mean, m2 = acc[metric, j]
-                delta = chunk_mean - mean
-                mean += delta * (size / total)
-                # a fixed-order sum: np.dot's order depends on the BLAS thread count
-                m2 += float(np.einsum("i,i->", centred, centred)) + delta * delta * n * size / total
-                acc[metric, j] = mean, m2
-        n = total
+    workers = min(len(links), os.cpu_count() or 1)
+    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for index, size in enumerate(_chunk_sizes(cfg)):
+            x = links[0].params.sample(_chunk_rng(cfg, index), size) ** links[0].r
+            if pool is None:
+                per_link = [chunk_stats(link, x) for link in links]
+            else:
+                # each task runs in a copy of the caller's context, which carries np.errstate
+                tasks = [pool.submit(contextvars.copy_context().run, chunk_stats, link, x)
+                         for link in links]
+                per_link = [task.result() for task in tasks]
+            total = n + size
+            for j, link_stats in enumerate(per_link):
+                for metric, (chunk_mean, squares) in zip(metrics, link_stats):
+                    mean, m2 = acc[metric, j]
+                    delta = chunk_mean - mean
+                    mean += delta * (size / total)
+                    m2 += squares + delta * delta * n * size / total
+                    acc[metric, j] = mean, m2
+            n = total
     return {metric: [(acc[metric, j][0], math.sqrt(acc[metric, j][1] / n / n))
                      for j in range(len(links))] for metric in metrics}
 

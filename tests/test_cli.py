@@ -131,6 +131,47 @@ class TestImport:
         assert _loaded_scipy(RUN_CLI, "uwoc", "synth", "--params", ROW1, "--n", "100",
                              "--output", out) == set()
 
+    def test_each_command_loads_only_its_own_modules(self, tmp_path, small_fit):
+        samples, report = small_fit
+        out = str(tmp_path / "out")
+        curve = ["--report", str(report), "--detection", "imdd", "--modulation", "ook",
+                 "--snr-db", "0:20:10", "--output", out]
+        not_loaded = [
+            (["synth", "--params", ROW1, "--n", "100", "--output", out],
+             {"em", "gof", "performance", "montecarlo", "presets"}),
+            (["perf", "ber", *curve], {"em", "gof", "montecarlo"}),
+            (["gof", "--input", str(samples), "--report", str(report), "--output", out],
+             {"em", "performance", "montecarlo"}),
+            (["fit", "--input", str(samples), "--eps", "1e-3", "--restarts", "1", "--output", out],
+             {"performance", "montecarlo"}),
+            (["simulate", "ber", *curve, "--samples", "2000"], {"em", "gof"}),
+        ]
+        for argv, absent in not_loaded:
+            loaded = _loaded_modules(RUN_CLI, "uwoc", *argv, timeout=300)
+            assert "uwoc.distributions" in loaded, argv[0]
+            assert not loaded & {f"uwoc.{m}" for m in absent}, (argv[0], sorted(loaded))
+
+    def test_package_names_load_on_first_read(self):
+        # nothing is cached in the package, so a name replaced in its submodule reads as replaced
+        _python("""
+import sys
+import uwoc
+assert [m for m in sys.modules if m.startswith("uwoc.")] == []
+missing = [name for name in uwoc.__all__ if not hasattr(uwoc, name)]
+assert missing == [], missing
+assert not set(uwoc.__all__) & set(vars(uwoc))
+import uwoc.em
+original = uwoc.em.fit
+uwoc.em.fit = wrapped = lambda *args: original(*args)
+assert uwoc.fit is wrapped
+uwoc.em.fit = original
+assert uwoc.fit is original
+assert uwoc.performance.IMDD.r == 2 and set(uwoc.__all__) <= set(dir(uwoc))
+namespace = {}
+exec("from uwoc import *", namespace)
+assert all(namespace[name] is getattr(uwoc, name) for name in uwoc.__all__)
+""")
+
     @pytest.mark.parametrize("command", ["perf", "gof"])
     def test_same_bytes_with_scipy_special_loaded_first(self, tmp_path, small_fit, command):
         # the fallback takes the ufuncs from the package that is already loaded

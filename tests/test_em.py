@@ -1,8 +1,9 @@
+import concurrent.futures
 import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -28,6 +29,31 @@ from uwoc.presets import ALL_CONDITIONS, condition
 ROW1 = condition("2.4lpm-0.05C").egg
 
 FAST = EmConfig(epsilon=1e-3, max_iters=200, restarts=1, seed=0)
+
+
+class _InTurn:
+    """Executor stand-in that runs each task as it is submitted, in the caller's thread."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def submit(self, fn, *args):
+        future = concurrent.futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except BaseException as exc:
+            future.set_exception(exc)
+        return future
+
+
+class _PoolAsked(Exception):
+    """Raised by a recording executor once it has the pool size."""
 
 
 def gg_q(samples, weights, a, b, c):
@@ -522,6 +548,41 @@ class TestFit:
         assert report.diagnostics == [
             {"restart": k, **runs[k][3], "loglik": runs[k][2][-1]} for k in range(cfg.restarts)
         ]
+
+    @pytest.mark.parametrize("restarts", [1, 3, 5])
+    def test_pool_gives_the_floats_of_chains_run_in_turn(self, restarts, monkeypatch):
+        data = condition("23.6lpm-0.22C").egg.sample(np.random.default_rng(6), 10_000)
+        cfg = EmConfig(epsilon=1e-4, restarts=restarts, seed=4)
+        pooled = fit(data, "egg", cfg)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", _InTurn)
+        in_turn = fit(data, "egg", cfg)
+        assert len(pooled.diagnostics) == restarts
+        assert pooled.model == in_turn.model
+        assert pooled.loglik_trace == in_turn.loglik_trace
+        assert pooled.diagnostics == in_turn.diagnostics
+        assert pooled == in_turn
+
+    def test_pool_has_a_thread_a_restart_up_to_two_a_core(self, monkeypatch):
+        asked = []
+
+        def recording(max_workers=None):
+            asked.append(max_workers)
+            raise _PoolAsked  # before any thread starts
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        data = ROW1.sample(np.random.default_rng(8), 500)
+        for restarts in (1, 3, 4, 5, 1000):
+            with pytest.raises(_PoolAsked):
+                fit(data, "egg", EmConfig(restarts=restarts))
+        assert asked == [1, 3, 4, 4, 4]
+
+    @pytest.mark.parametrize("variant", ["egg", "eg", "explognormal"])
+    def test_fitted_parameters_are_python_floats(self, variant):
+        data = ROW1.sample(np.random.default_rng(7), 5000)
+        model = fit(data, variant, FAST).model
+        assert {f.name: type(getattr(model, f.name)) for f in fields(model)} == {
+            f.name: float for f in fields(model)}
 
     def test_restarts_within_rounding_keep_the_earliest(self):
         # the last restart ends higher than the first by rounding alone

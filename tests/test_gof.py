@@ -91,6 +91,34 @@ class TestNonFiniteSamples:
         assert 0.0 <= mse_cdf([0.0, 0.5, 1.0], ROW1) < 1.0
 
 
+class TestNegativeAndExtremeSamples:
+    @pytest.mark.parametrize("samples, index", [
+        ([-1.0, 0.5, 2.0], 0), ([0.5, 2.0, -1e-300, np.nan], 2), ([-1.7e308, 1.7e308], 0)])
+    def test_negative_sample_is_a_data_error(self, samples, index):
+        for score in (build_histogram, lambda s: mse_cdf(s, ROW1)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(DataError, match="negative") as info:
+                    score(samples)
+            assert info.value.index == index
+
+    @pytest.mark.parametrize("samples", [[0.0] * 1000 + [1.7e308], [0.0, 5e-324] * 3],
+                             ids=["densities-overflow", "subnormal-span"])
+    def test_span_that_cannot_be_binned(self, samples):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(HistogramError):
+                build_histogram(samples)
+
+    def test_widest_spans_still_bin(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert build_histogram([0.0, 1.7e308]).n_bins == 20
+            # the Freedman-Diaconis ratio overflows to inf, and the count clamps to the top
+            tiny_iqr = [1e-300, 2e-300, 3e-300, 4e-300, 5e-300, 1.7e308]
+            assert build_histogram(tiny_iqr).n_bins == 200
+
+
 class TestRSquare:
     def test_perfect_prediction(self):
         data = ROW1.sample(np.random.default_rng(2), 50_000)

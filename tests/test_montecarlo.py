@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -173,6 +174,45 @@ class TestOnePass:
             simulate(_grid_links(), ["snr"], cfg)
         with pytest.raises(ValueError):
             simulate([LinkBudget(STRONG, HETERODYNE, 10.0)], ["ber"], cfg, Modulation.ook())
+
+
+class TestLinksOnThreads:
+    CASES = [("outage", IMDD, None), ("ber", IMDD, Modulation.ook()),
+             ("ber", HETERODYNE, Modulation.parse("mqam:16")), ("capacity", HETERODYNE, None)]
+
+    @pytest.mark.parametrize("metric, mode, modulation", CASES,
+                             ids=["outage", "ber-ook", "ber-16qam", "capacity"])
+    def test_k_links_equal_k_single_link_calls(self, metric, mode, modulation, monkeypatch):
+        pools = []
+
+        class Recording(ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # a pool on any machine
+        cfg = SimConfig(n_samples=25_000, seed=9, chunk_size=10_000)
+        links = [LinkBudget(STRONG, mode, db(snr_db), 3.0) for snr_db in range(0, 50, 10)]
+        together = simulate(links, [metric], cfg, modulation)[metric]
+        alone = [simulate([link], [metric], cfg, modulation)[metric][0] for link in links]
+        assert [tuple(map(float.hex, est)) for est in together] == [
+            tuple(map(float.hex, est)) for est in alone]
+        assert pools == [2]  # one link runs without a pool
+
+    def test_tasks_run_under_the_callers_errstate(self, monkeypatch):
+        kernel = montecarlo._ber_kernel
+        seen = []
+
+        def recording(gamma, modulation):
+            seen.append(np.geterr()["divide"])
+            return kernel(gamma, modulation)
+
+        monkeypatch.setattr(montecarlo, "_ber_kernel", recording)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        with np.errstate(divide="ignore"):  # the default is "warn"
+            simulate(_grid_links(), ["ber"], SimConfig(n_samples=2000), Modulation.ook())
+        assert seen == ["ignore"] * 3
 
 
 class TestOutage:
