@@ -104,12 +104,10 @@ def build_histogram(samples, bins="auto"):
         raise HistogramError("all samples are equal; histogram is degenerate")
     if bins == "auto":
         q75, q25 = np.percentile(arr, [75, 25])
-        iqr = float(q75 - q25)
-        if iqr > 0:
-            width = 2.0 * iqr / arr.size ** (1.0 / 3.0)
-            m = math.ceil(min((hi - lo) / width, DEFAULT_BIN_RANGE[1]))  # the ratio may be inf
-        else:
-            m = DEFAULT_BIN_RANGE[1]
+        width = 2.0 * float(q75 - q25) / arr.size ** (1.0 / 3.0)
+        # a zero width (equal quartiles, or a subnormal IQR that underflows)
+        # and a ratio that overflows to inf both ask for the most bins
+        m = math.ceil(min((hi - lo) / width, DEFAULT_BIN_RANGE[1])) if width > 0 else DEFAULT_BIN_RANGE[1]
         m = int(np.clip(m, *DEFAULT_BIN_RANGE))
     else:
         m = int(bins)

@@ -3,9 +3,10 @@
 Draws fading realizations in fixed-size chunks, each from an independent
 substream keyed by (seed, chunk index).  One draw of a chunk serves every SNR
 point and metric of a call; the points' statistics of a chunk are computed on
-a thread pool, one thread per core, and the chunks' means and squared
-deviations merge in chunk order, so each estimate is bit-identical to a run
-of its point alone, however the chunks and points are executed.
+a thread pool of one thread per core, up to ``_MAX_THREADS``, and the
+chunks' means and squared deviations merge in chunk order, so each estimate
+is bit-identical to a run of its point alone, however the chunks and points
+are executed.
 
 The BER estimator averages the conditional error probability of each draw
 (the kernel the analytic expression integrates) instead of simulating bit
@@ -14,7 +15,6 @@ decisions, which removes the noise-realization variance entirely.
 
 from __future__ import annotations
 
-import contextlib
 import contextvars
 import math
 import os
@@ -33,6 +33,11 @@ from .performance import (
 from .special import sp
 
 __all__ = ["SimConfig", "simulate", "simulate_outage", "simulate_ber", "simulate_capacity"]
+
+# A running task holds up to three chunk-sized arrays (gamma and two
+# temporaries of the BER kernel, 8 MB each at the default chunk), so the cap
+# bounds the pool's memory on any core count.
+_MAX_THREADS = 4
 
 
 @dataclass(frozen=True)
@@ -62,14 +67,12 @@ def simulate(links, metrics, cfg: SimConfig = SimConfig(), modulation: Modulatio
 
     The links share ``params`` and ``r``; ``metrics`` are among "outage",
     "ber" (with ``modulation``) and "capacity".  Each chunk is drawn and raised
-    to I^r once.  Each link's chunk mean and sum of squared deviations of
-    each metric are computed on a pool of ``min(len(links), cpu_count)``
-    threads (none for one link), each task in a copy of the caller's
-    context, so it keeps the caller's ``np.errstate``; every task holds about
-    three chunk-sized arrays.  In link order, each (metric, link) statistic
-    then merges into its own accumulator by Chan's parallel update of
-    (n, mean, M2), which keeps the variance exact when it is small against
-    the squared mean.
+    to I^r once.  Each link's chunk statistics are computed on a pool of
+    ``min(len(links), cpu_count, _MAX_THREADS)`` threads, each task in a copy
+    of the caller's context (so it keeps ``np.errstate``), and merge in link
+    order, each (metric, link) into its own accumulator by Chan's parallel
+    update of (n, mean, M2), which keeps the variance exact when it is small
+    against the squared mean.
     Returns {metric: [(mean, se) of each link]}.
     """
     stats = {
@@ -91,24 +94,20 @@ def simulate(links, metrics, cfg: SimConfig = SimConfig(), modulation: Modulatio
         for metric in metrics:
             values = stats[metric](link, gamma)
             chunk_mean = float(values.mean())
-            centred = values - chunk_mean
+            values -= chunk_mean  # each stat returns a new array
             # a fixed-order sum: np.dot's order depends on the BLAS thread count
-            out.append((chunk_mean, float(np.einsum("i,i->", centred, centred))))
+            out.append((chunk_mean, float(np.einsum("i,i->", values, values))))
         return out
 
     n = 0
     acc = {(metric, j): (0.0, 0.0) for metric in metrics for j in range(len(links))}
-    workers = min(len(links), os.cpu_count() or 1)
-    with ThreadPoolExecutor(workers) if workers > 1 else contextlib.nullcontext() as pool:
+    with ThreadPoolExecutor(min(len(links), os.cpu_count() or 1, _MAX_THREADS)) as pool:
         for index, size in enumerate(_chunk_sizes(cfg)):
             x = links[0].params.sample(_chunk_rng(cfg, index), size) ** links[0].r
-            if pool is None:
-                per_link = [chunk_stats(link, x) for link in links]
-            else:
-                # each task runs in a copy of the caller's context, which carries np.errstate
-                tasks = [pool.submit(contextvars.copy_context().run, chunk_stats, link, x)
-                         for link in links]
-                per_link = [task.result() for task in tasks]
+            # each task runs in a copy of the caller's context, which carries np.errstate
+            tasks = [pool.submit(contextvars.copy_context().run, chunk_stats, link, x)
+                     for link in links]
+            per_link = [task.result() for task in tasks]
             total = n + size
             for j, link_stats in enumerate(per_link):
                 for metric, (chunk_mean, squares) in zip(metrics, link_stats):

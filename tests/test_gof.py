@@ -117,6 +117,9 @@ class TestNegativeAndExtremeSamples:
             # the Freedman-Diaconis ratio overflows to inf, and the count clamps to the top
             tiny_iqr = [1e-300, 2e-300, 3e-300, 4e-300, 5e-300, 1.7e308]
             assert build_histogram(tiny_iqr).n_bins == 200
+            # the Freedman-Diaconis width underflows to 0 from a subnormal IQR
+            subnormal_iqr = [0.0] * 50 + [5e-324] * 50 + [1.0]
+            assert build_histogram(subnormal_iqr).n_bins == 200
 
 
 class TestRSquare:

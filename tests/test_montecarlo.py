@@ -176,6 +176,10 @@ class TestOnePass:
             simulate([LinkBudget(STRONG, HETERODYNE, 10.0)], ["ber"], cfg, Modulation.ook())
 
 
+class _PoolAsked(Exception):
+    pass
+
+
 class TestLinksOnThreads:
     CASES = [("outage", IMDD, None), ("ber", IMDD, Modulation.ook()),
              ("ber", HETERODYNE, Modulation.parse("mqam:16")), ("capacity", HETERODYNE, None)]
@@ -198,7 +202,24 @@ class TestLinksOnThreads:
         alone = [simulate([link], [metric], cfg, modulation)[metric][0] for link in links]
         assert [tuple(map(float.hex, est)) for est in together] == [
             tuple(map(float.hex, est)) for est in alone]
-        assert pools == [2]  # one link runs without a pool
+        assert pools == [2] + [1] * len(links)
+
+    def test_pool_has_a_thread_a_link_up_to_a_core_and_the_cap(self, monkeypatch):
+        asked = []
+
+        def recording(max_workers):
+            asked.append(max_workers)
+            raise _PoolAsked  # before any thread starts
+
+        monkeypatch.setattr(montecarlo, "ThreadPoolExecutor", recording)
+        cfg = SimConfig(n_samples=2000)
+        for cores in (1, 2, 64):
+            monkeypatch.setattr(os, "cpu_count", lambda: cores)
+            for n_links in (1, 3, 7):
+                links = [LinkBudget(STRONG, IMDD, db(10.0 * k)) for k in range(n_links)]
+                with pytest.raises(_PoolAsked):
+                    simulate(links, ["outage"], cfg)
+        assert asked == [1, 1, 1, 1, 2, 2, 1, 3, 4]
 
     def test_tasks_run_under_the_callers_errstate(self, monkeypatch):
         kernel = montecarlo._ber_kernel
