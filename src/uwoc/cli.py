@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import EggParams, MixtureModel, model_from_dict
-from .errors import UwocError
+from .errors import DataError, UwocError, checked_array
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -58,7 +58,7 @@ def _emit(path, text):
 
 def read_samples(path):
     """Parse a sample file: one positive value per line, '#' comments, and
-    an optional single 'irradiance' header line."""
+    an optional single 'irradiance' header line.  An error names its line."""
     try:
         with open(path) as handle:
             lines = handle.read().rstrip("\n").split("\n")
@@ -66,12 +66,11 @@ def read_samples(path):
         raise _UserError(f"cannot read {path}: {exc}") from exc
     # one vectorized parse of a plain file; any other file is read line by line
     start = 1 if lines[0].strip().lower() == "irradiance" else 0
+    linenos = range(start + 1, len(lines) + 1)  # the file line of each value
     try:
         values = np.array(lines[start:], dtype=float)
     except ValueError:
-        values = None
-    if values is None or not np.all((values > 0) & (values < math.inf)):
-        values = []
+        values, linenos = [], []
         for lineno, raw in enumerate(lines, start=1):
             text = raw.strip()
             if not text or text.startswith("#"):
@@ -79,16 +78,19 @@ def read_samples(path):
             if text.lower() == "irradiance" and not values:
                 continue
             try:
-                value = float(text)
+                values.append(float(text))
             except ValueError as exc:
                 raise _UserError(f"{path}:{lineno}: not a number: {text!r}") from exc
-            if not (value > 0 and math.isfinite(value)):
-                raise _UserError(f"{path}:{lineno}: irradiance must be positive, got {text}")
-            values.append(value)
+            linenos.append(lineno)
         values = np.asarray(values, dtype=float)
     if not values.size:
         raise _UserError(f"{path}: no samples found")
-    return values
+    try:
+        return checked_array(values, "sample")
+    except DataError as exc:
+        lineno = linenos[exc.index]
+        text = lines[lineno - 1].strip()
+        raise _UserError(f"{path}:{lineno}: irradiance must be positive, got {text}") from exc
 
 
 def write_samples(path, values):
@@ -203,9 +205,17 @@ def _build_modulation(args, mode):
 # Subcommands
 # ---------------------------------------------------------------------------
 
+def _scorer(samples, bins):
+    """The ``gof`` block of a model against ``samples``, as a function of the
+    model.  The histogram is built here, so a bad ``bins`` fails before a fit."""
+    from .gof import build_histogram, mse_cdf, r_square
+
+    hist = build_histogram(samples, "auto" if bins in (None, "auto") else int(bins))
+    return lambda model: {"mse": mse_cdf(samples, model), "r2": r_square(hist, model), "bins": hist.n_bins}
+
+
 def cmd_fit(args):
     from .em import EmConfig, fit
-    from .gof import build_histogram, mse_cdf, r_square
 
     samples = read_samples(args.input)
     cfg = EmConfig(
@@ -214,8 +224,8 @@ def cmd_fit(args):
         restarts=args.restarts,
         seed=args.seed,
     )
+    score = _scorer(samples, args.bins)
     report = fit(samples, args.model, cfg)
-    hist = build_histogram(samples, args.bins if args.bins else "auto")
     payload = report.model.to_dict()
     payload.update(
         scintillation_index=report.scintillation_index,
@@ -223,11 +233,7 @@ def cmd_fit(args):
         iterations=report.iterations,
         converged=report.converged,
         diagnostics=report.diagnostics,
-        gof={
-            "mse": mse_cdf(samples, report.model),
-            "r2": r_square(hist, report.model),
-            "bins": hist.n_bins,
-        },
+        gof=score(report.model),
         em_config={
             "epsilon": cfg.epsilon,
             "max_iters": cfg.max_iters,
@@ -243,16 +249,10 @@ def cmd_fit(args):
 
 
 def cmd_gof(args):
-    from .gof import build_histogram, mse_cdf, r_square
-
     samples = read_samples(args.input)
     model, _ = _load_report_model(args.report)
-    bins = "auto" if args.bins in (None, "auto") else int(args.bins)
-    hist = build_histogram(samples, bins)
     payload = {
-        "mse": mse_cdf(samples, model),
-        "r2": r_square(hist, model),
-        "bins": hist.n_bins,
+        **_scorer(samples, args.bins)(model),
         "model": model.variant,
         "tool_version": __version__,
         "input_digest": _input_digest(args.input),

@@ -19,6 +19,7 @@ from typing import Union
 
 import numpy as np
 
+from .errors import check_positive, checked_array
 from .special import sp
 
 __all__ = [
@@ -45,15 +46,6 @@ _GG_SERIES_T = -700.0
 # smallest positive normal float: sampled values are kept at or above it, and
 # the GG CDF's deep-tail series reads a value below it as 0
 _TINY = float(np.finfo(float).tiny)
-
-
-def _as_positive_array(i, name="i", allow_zero=False):
-    arr = np.asarray(i, dtype=float)
-    bad = (arr < 0) | ~np.isfinite(arr) if allow_zero else (arr <= 0) | ~np.isfinite(arr)
-    if np.any(bad):
-        kind = "non-negative" if allow_zero else "positive"
-        raise ValueError(f"{name} must be {kind} and finite")
-    return arr
 
 
 def _log_mix(omega, log_exp, log_second):
@@ -120,18 +112,19 @@ class _Mixture(ABC):
     def component_log_pdfs(self, i, *, log_i=None):
         """Weighted per-lobe log densities (exponential lobe, second lobe) as arrays.
 
-        ``log_i`` is ln i of an array ``i`` the caller has already validated
-        (positive and finite); passing it skips the check and the logarithm.
+        An ``i`` that is not finite and positive raises DataError.  ``log_i``
+        is ln i of an array ``i`` the caller has already checked; passing it
+        skips the check and the logarithm.
         """
         if log_i is None:
-            i = np.atleast_1d(_as_positive_array(i))
+            i = np.atleast_1d(checked_array(i, "i"))
             log_i = np.log(i)
         if 1.0 - self.omega < WEIGHT_EPS:
             return self._exp_log_pdf(i), np.full_like(log_i, -np.inf)
         return self._exp_log_pdf(i), self._second_log_pdf(i, log_i)
 
     def log_pdf(self, i):
-        """log of the mixture density at irradiance i > 0."""
+        """log of the mixture density at irradiance i > 0 (else DataError)."""
         log_mix = _log_mix(self.omega, *self.component_log_pdfs(i))[0]
         return log_mix[0] if np.ndim(i) == 0 else log_mix
 
@@ -140,8 +133,8 @@ class _Mixture(ABC):
         return _maybe_scalar(out, i)
 
     def cdf(self, i):
-        """Mixture CDF at irradiance i >= 0."""
-        arr = _as_positive_array(i, allow_zero=True)
+        """Mixture CDF at irradiance i >= 0 (else DataError at the first bad entry)."""
+        arr = checked_array(i, "i", allow_zero=True)
         second = self._second_cdf(arr)
         omega = self.omega
         if omega < WEIGHT_EPS:
@@ -208,14 +201,8 @@ def _keys(variant):
 
 
 def _validate_weight(omega):
-    if not (0.0 <= omega <= 1.0) or not np.isfinite(omega):
+    if not 0.0 <= omega <= 1.0:  # False for NaN too
         raise ValueError(f"omega must lie in [0, 1], got {omega!r}")
-
-
-def _validate_positive(**kwargs):
-    for name, value in kwargs.items():
-        if not np.isfinite(value) or value <= 0:
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -247,7 +234,7 @@ class EggParams(_Mixture):
 
     def __post_init__(self):
         _validate_weight(self.omega)
-        _validate_positive(lam=self.lam, a=self.a, b=self.b, c=self.c)
+        check_positive(lam=self.lam, a=self.a, b=self.b, c=self.c)
 
     @property
     def _gg(self):
@@ -323,7 +310,7 @@ class EgParams(_Mixture):
 
     def __post_init__(self):
         _validate_weight(self.omega)
-        _validate_positive(lam=self.lam, alpha=self.alpha, beta=self.beta)
+        check_positive(lam=self.lam, alpha=self.alpha, beta=self.beta)
 
     def as_egg(self):
         """The same distribution as a power-shape-one EggParams."""
@@ -358,7 +345,7 @@ class ExpLognormalParams(_Mixture):
 
     def __post_init__(self):
         _validate_weight(self.omega)
-        _validate_positive(lam=self.lam, sigma2=self.sigma2)
+        check_positive(lam=self.lam, sigma2=self.sigma2)
 
     def _second_log_pdf(self, i, log_i):
         s2 = self.sigma2

@@ -27,7 +27,7 @@ from .distributions import (
     MixtureModel,
     _log_mix,
 )
-from .errors import DataError, DegenerateComponentError, FitFailureError
+from .errors import DataError, DegenerateComponentError, FitFailureError, check_positive, checked_array
 from .special import sp
 
 __all__ = [
@@ -86,8 +86,7 @@ class EmConfig:
     init_params: Optional[MixtureModel] = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be positive")
+        check_positive(epsilon=self.epsilon)
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
         if self.init_strategy not in ("quantile_split", "user_supplied"):
@@ -134,17 +133,21 @@ class FitReport:
 
 
 def validate_samples(samples):
-    """Samples as a float array; positive and finite or DataError with index."""
-    arr = np.asarray(samples, dtype=float).ravel()
+    """Samples as a flat float array, each finite and positive; else DataError."""
+    arr = checked_array(samples, "sample").ravel()
     if arr.size == 0:
         raise DataError("no samples given")
-    bad = ~(np.isfinite(arr) & (arr > 0))
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise DataError(
-            f"sample {idx} is not a positive finite value ({arr[idx]!r})", index=idx
-        )
     return arr
+
+
+def _responsibilities(responsibilities, n=None):
+    """Responsibilities as a float array, n of them unless n is None, each in [0, 1]; else DataError."""
+    resp = np.asarray(responsibilities, dtype=float)
+    if resp.size == 0 or n is not None and resp.shape != (n,):
+        raise DataError(f"responsibilities of shape {resp.shape}; need {n or 'one or more'}")
+    checked_array(resp, "responsibility", allow_zero=True)
+    checked_array(1.0 - resp, "1 - responsibility", allow_zero=True)  # each <= 1
+    return resp
 
 
 def log_likelihood(samples, model: MixtureModel):
@@ -166,11 +169,8 @@ def e_step(samples, params: MixtureModel):
 
 
 def update_omega(responsibilities):
-    """Mixing weight as the mean responsibility."""
-    resp = np.asarray(responsibilities, dtype=float)
-    if resp.size == 0:
-        raise DataError("no responsibilities given")
-    return float(resp.mean())
+    """Mixing weight as the mean responsibility (each in [0, 1], else DataError)."""
+    return float(_responsibilities(responsibilities).mean())
 
 
 def m_step_exp(samples, responsibilities):
@@ -179,7 +179,8 @@ def m_step_exp(samples, responsibilities):
     The maximizer of the expected complete-data log-likelihood divides the
     responsibility-weighted intensity sum by the responsibility mass.
     """
-    return _exp_scale(validate_samples(samples), np.asarray(responsibilities, dtype=float))
+    arr = validate_samples(samples)
+    return _exp_scale(arr, _responsibilities(responsibilities, arr.size))
 
 
 def _exp_scale(samples, resp):
@@ -207,11 +208,16 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
     step from it ascends, it starts from the best point of a coarse ln c scan
     over the admissible range instead.  Where the maximum lies at a c whose
     scale b would over- or underflow, the best point evaluated with a finite
-    b is returned.  ``log_i`` is ln I of samples the caller has already
-    validated; passing it skips the check and the logarithm.
+    b is returned.  Bad samples or responsibilities raise DataError, a bad
+    hint ValueError; passing ``log_i``, ln I of samples the caller has already
+    checked, skips every check and the logarithm.
     """
     if log_i is None:
-        log_i = np.log(validate_samples(samples))
+        arr = validate_samples(samples)
+        responsibilities = _responsibilities(responsibilities, arr.size)
+        if c_hint is not None:
+            check_positive(c_hint=c_hint)
+        log_i = np.log(arr)
     weights = 1.0 - np.asarray(responsibilities, dtype=float)
     w_total = float(weights.sum())
     if w_total <= _MASS_EPS * log_i.size:
@@ -250,7 +256,7 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
         return visited[-1]
 
     best, ascended = None, False
-    if c_hint is not None and np.isfinite(c_hint) and c_hint > 0:
+    if c_hint is not None:
         start = point(min(max(math.log(c_hint), _LOG_C_LIMITS[0]), _LOG_C_LIMITS[1]))
         if start is not None:
             best, ascended = _newton_ascent(point, start)
@@ -543,7 +549,7 @@ def _em_map(samples, log_i, resp, params, variant):
         candidate = replace(candidate, lam=_exp_scale(samples, resp))
     except DegenerateComponentError:
         pass  # lobe frozen; omega decides its weight
-    candidate = replace(candidate, omega=min(max(update_omega(resp), 0.0), 1.0))
+    candidate = replace(candidate, omega=min(max(float(resp.mean()), 0.0), 1.0))
     try:
         # per-component Q acceptance keeps this an ascent step
         return _second_lobe_update(samples, log_i, resp, candidate, variant)

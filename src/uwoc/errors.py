@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the input check of every
+public entry point: ``checked_array`` for arrays (DataError at the first bad
+entry's index) and ``check_positive`` for scalars (ValueError naming it)."""
+
+import math
+
+import numpy as np
 
 
 class UwocError(Exception):
@@ -44,3 +50,25 @@ class HistogramError(UwocError, ValueError):
 
 class UndefinedScoreError(UwocError, ZeroDivisionError):
     """A goodness-of-fit score is undefined (zero total variation)."""
+
+
+def checked_array(x, name, *, allow_zero=False):
+    """``x`` as a float array, each entry finite and positive (>= 0 with
+    ``allow_zero``); else DataError at the flat index of the first that is not."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr.ravel()
+    ok = (flat >= 0.0 if allow_zero else flat > 0.0) & (flat < math.inf)
+    if not ok.all():
+        k = int(ok.argmin())
+        value = float(flat[k])
+        problem = "is not finite" if not math.isfinite(value) else "is negative" if value < 0.0 else "is zero"
+        where = f"{name} {k}" if arr.ndim else name
+        raise DataError(f"{where} {problem} ({value!r})", index=k)
+    return arr
+
+
+def check_positive(**scalars):
+    """Raise ``ValueError`` naming the first of ``scalars`` that is not finite and positive."""
+    for name, value in scalars.items():
+        if not 0.0 < value < math.inf:
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MixtureModel
-from .errors import DataError, HistogramError, UndefinedScoreError
+from .errors import DataError, HistogramError, UndefinedScoreError, checked_array
 
 __all__ = [
     "Histogram",
@@ -29,7 +29,7 @@ DEFAULT_BIN_RANGE = (20, 200)
 
 @dataclass(frozen=True)
 class Histogram:
-    """Equal-width density histogram with its raw counts."""
+    """Equal-width density histogram with its raw counts; densities are finite and >= 0."""
 
     bin_edges: np.ndarray
     densities: np.ndarray
@@ -37,14 +37,12 @@ class Histogram:
 
     def __post_init__(self):
         edges = np.asarray(self.bin_edges, dtype=float)
-        dens = np.asarray(self.densities, dtype=float)
+        dens = checked_array(self.densities, "density", allow_zero=True)
         counts = np.asarray(self.counts, dtype=int)
-        if edges.ndim != 1 or len(edges) < 2 or np.any(np.diff(edges) <= 0):
+        if edges.ndim != 1 or len(edges) < 2 or not np.all(np.diff(edges) > 0):
             raise HistogramError("bin_edges must be strictly increasing")
         if len(dens) != len(edges) - 1 or len(counts) != len(dens):
             raise HistogramError("densities/counts do not match the bin count")
-        if np.any(dens < 0):
-            raise HistogramError("densities must be non-negative")
         total = float(np.sum(dens * np.diff(edges)))
         if abs(total - 1.0) > 1e-12:
             raise HistogramError(f"densities integrate to {total!r}, expected 1")
@@ -61,27 +59,17 @@ class Histogram:
         return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
 
 
-def _irradiance_samples(samples):
-    """Samples as a flat float array, each finite and >= 0; else DataError at the first bad one."""
-    arr = np.asarray(samples, dtype=float).ravel()
-    bad = np.flatnonzero(~((arr >= 0.0) & (arr < np.inf)))
-    if bad.size:
-        k = int(bad[0])
-        problem = "is negative" if np.isfinite(arr[k]) else "is not finite"
-        raise DataError(f"sample {k} {problem} ({arr[k]})", index=k)
-    return arr
-
-
 def mse_cdf(samples, model: MixtureModel):
     """Mean squared CDF error at the sorted sample points.
 
     The empirical distribution is evaluated with the midpoint plotting
     position (i - 0.5)/n, which avoids the guaranteed nonzero end-point
-    residuals of the i/n convention.
+    residuals of the i/n convention.  No samples, or one that is not finite
+    and >= 0, is a DataError.
     """
-    arr = np.sort(_irradiance_samples(samples))
+    arr = np.sort(checked_array(samples, "sample", allow_zero=True).ravel())
     if arr.size == 0:
-        raise ValueError("need at least one sample")
+        raise DataError("no samples given")
     n = arr.size
     positions = (np.arange(1, n + 1) - 0.5) / n
     residual = positions - model.cdf(arr)
@@ -94,9 +82,9 @@ def build_histogram(samples, bins="auto"):
     ``bins='auto'`` applies the Freedman-Diaconis count clamped into
     ``DEFAULT_BIN_RANGE``.  All-equal samples cannot be binned, nor samples
     whose span is too narrow for ``bins`` distinct edges, or too wide for the
-    densities to be finite.
+    densities to be finite.  Samples are checked as in :func:`mse_cdf`.
     """
-    arr = _irradiance_samples(samples)
+    arr = checked_array(samples, "sample", allow_zero=True).ravel()
     if arr.size < 2:
         raise HistogramError("need at least two samples to build a histogram")
     lo, hi = float(arr.min()), float(arr.max())

@@ -32,7 +32,7 @@ from typing import Optional
 import numpy as np
 
 from .distributions import EggParams, EgParams, WEIGHT_EPS
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_positive, checked_array
 from .special import Estimate, FoxHSpec, QuadratureConfig, _gauss_kronrod, fox_h_ln, sp
 
 __all__ = [
@@ -184,10 +184,9 @@ def electrical_snr(params: EggParams, mode: DetectionMode, gamma_bar):
     """Average electrical SNR mu_r for a given average SNR.
 
     Heterodyne uses mu_1 = gamma_bar; IM/DD divides by the second intensity
-    moment so that gamma_bar = mu_2 E[I^2].
+    moment so that gamma_bar = mu_2 E[I^2].  ``gamma_bar`` > 0, else ValueError.
     """
-    if gamma_bar <= 0:
-        raise ValueError("gamma_bar must be positive")
+    check_positive(gamma_bar=gamma_bar)
     if mode.r == 1:
         return float(gamma_bar)
     return float(gamma_bar) / params.moment(2)
@@ -197,8 +196,9 @@ def electrical_snr(params: EggParams, mode: DetectionMode, gamma_bar):
 class LinkBudget:
     """Fading parameters plus detection mode, average SNR, and outage threshold.
 
-    ``gamma_bar`` and ``gamma_th`` are linear SNRs.  ``EgParams`` inputs are
-    promoted to the power-shape-one ``EggParams`` equivalent.
+    ``gamma_bar`` and ``gamma_th`` are linear SNRs > 0 (else ValueError).
+    ``EgParams`` inputs are promoted to the power-shape-one ``EggParams``
+    equivalent.
     """
 
     params: EggParams
@@ -216,8 +216,7 @@ class LinkBudget:
             raise ValueError(
                 "link performance is defined for the EGG/EG fading models only"
             )
-        if self.gamma_bar <= 0 or self.gamma_th <= 0:
-            raise ValueError("gamma_bar and gamma_th must be positive")
+        check_positive(gamma_th=self.gamma_th)  # electrical_snr checks gamma_bar
         object.__setattr__(
             self, "mu_r", electrical_snr(params, self.mode, self.gamma_bar)
         )
@@ -251,10 +250,8 @@ def _exp(x):
 # ---------------------------------------------------------------------------
 
 def snr_pdf(link: LinkBudget, gamma):
-    """Density of the instantaneous SNR gamma = mu_r I^r."""
-    arr = np.asarray(gamma, dtype=float)
-    if np.any(arr <= 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("gamma must be positive and finite")
+    """Density of the instantaneous SNR gamma = mu_r I^r at gamma > 0 (else DataError)."""
+    arr = checked_array(gamma, "gamma")
     r, mu = link.r, link.mu_r
     intensity = (arr / mu) ** (1.0 / r)
     jac = intensity / (r * arr)
@@ -263,10 +260,9 @@ def snr_pdf(link: LinkBudget, gamma):
 
 
 def snr_cdf(link: LinkBudget, gamma):
-    """CDF of the instantaneous SNR; the outage probability at threshold gamma."""
-    arr = np.asarray(gamma, dtype=float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("gamma must be non-negative and finite")
+    """CDF of the instantaneous SNR at gamma >= 0 (else DataError); the outage
+    probability at threshold gamma."""
+    arr = checked_array(gamma, "gamma", allow_zero=True)
     out = link.params.cdf((arr / link.mu_r) ** (1.0 / link.r))
     return float(out) if np.ndim(gamma) == 0 else out
 
@@ -275,11 +271,9 @@ def snr_cdf_asymptotic(link: LinkBudget, gamma):
     """High-SNR approximation of the SNR CDF (tight for gamma << mu_r).
 
     Each lobe contributes w (gamma / (b^r mu_r))^(ac/r) / Gamma(a + 1); a
-    term beyond the double range gives inf.
+    term beyond the double range gives inf.  ``gamma`` >= 0, else DataError.
     """
-    arr = np.asarray(gamma, dtype=float)
-    if np.any(arr < 0) or not np.all(np.isfinite(arr)):
-        raise ValueError("gamma must be non-negative and finite")
+    arr = checked_array(gamma, "gamma", allow_zero=True)
     r = link.r
     out = 0.0
     with np.errstate(divide="ignore", over="ignore"):

@@ -23,7 +23,7 @@ import numpy as np
 # SciPy loads on first use: scipy.integrate inside adaptive_quad, the ufuncs
 # of scipy.special through ``sp``; importing uwoc loads none of them
 
-from .errors import ConvergenceError
+from .errors import ConvergenceError, check_positive, checked_array
 
 __all__ = [
     "QuadratureConfig",
@@ -43,8 +43,7 @@ class QuadratureConfig:
     max_subdivisions: int = 200
 
     def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise ValueError("tolerances must be positive")
+        check_positive(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
         if self.max_subdivisions < 1:
             raise ValueError("max_subdivisions must be >= 1")
 
@@ -88,11 +87,6 @@ def _import_ufuncs():
 
 _LOAD_LOCK = threading.Lock()
 sp = _OnFirstUse("scipy.special._ufuncs")  # not put in sys.modules
-
-
-def _check_positive(name, x):
-    if not np.isfinite(x) or x <= 0:
-        raise ValueError(f"{name} must be positive and finite, got {x!r}")
 
 
 class Estimate(float):
@@ -237,7 +231,8 @@ class FoxHSpec:
 
     integrated as (1/2 pi i) int theta(s) z^{-s} ds over a vertical contour
     separating the two pole families.  Construction fails when no such
-    contour exists.
+    contour exists, and with DataError when a scale is not finite and
+    positive (indexed over A_1..A_p, then B_1..B_q).
     """
 
     m: int
@@ -256,8 +251,7 @@ class FoxHSpec:
             raise ValueError("need 0 <= n <= p == len(upper_params)")
         if not (0 <= self.m <= self.q == len(lower)):
             raise ValueError("need 0 <= m <= q == len(lower_params)")
-        if any(A <= 0 for _, A in upper) or any(B <= 0 for _, B in lower):
-            raise ValueError("all A_j, B_j must be positive")
+        checked_array([A for _, A in upper + lower], "scale A_j/B_j")
         if self.contour_lo >= self.contour_hi:
             raise ValueError(
                 "pole families are not separable by a vertical contour "
@@ -395,7 +389,7 @@ def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
 
 
 def fox_h(spec: FoxHSpec, z: float, cfg: QuadratureConfig = DEFAULT_QUAD):
-    """H^{m,n}_{p,q}[z] for real z > 0 by contour integration, an :class:`Estimate`."""
+    """H^{m,n}_{p,q}[z] for real z > 0 (else ValueError) by contour integration, an :class:`Estimate`."""
     z = float(z)
-    _check_positive("z", z)
+    check_positive(z=z)
     return fox_h_ln(spec, math.log(z), cfg)

@@ -257,6 +257,28 @@ class TestFit:
         values = read_samples(str(good))
         assert values.dtype == float and values.tolist() == [0.5, 1.25, 2e-3]
 
+    @pytest.mark.parametrize("text, line", [("nan", 3), ("inf", 4), ("0", 5)])
+    def test_non_finite_or_zero_sample_names_line(self, tmp_path, capsys, text, line):
+        bad = tmp_path / "bad.txt"
+        values = ["1.0", "2.0", "3.0", "4.0"]
+        values.insert(line - 2, text)
+        for body in ("irradiance\n", "irradiance\n# comments take the line-by-line parse\n"):
+            bad.write_text(body + "\n".join(values) + "\n")
+            assert run(["fit", "--input", str(bad)]) == 2
+            shift = body.count("\n") - 1
+            want = f":{line + shift}: irradiance must be positive, got {text}"
+            assert want in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_bad_bins_exit_before_the_fit(self, sample_file, capsys, monkeypatch, bins):
+        import uwoc.em
+
+        fits = []
+        monkeypatch.setattr(uwoc.em, "fit", lambda *args: fits.append(args))
+        assert run(["fit", "--input", str(sample_file), "--bins", bins]) == 2
+        assert "bin count must be >= 1" in capsys.readouterr().err
+        assert fits == []
+
     def test_eg_schema(self, tmp_path):
         samples = tmp_path / "eg.txt"
         report = tmp_path / "eg.json"
