@@ -19,7 +19,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import check_positive, checked_array
+from .errors import check_finite, check_positive, checked_array
 from .special import sp
 
 __all__ = [
@@ -330,7 +330,9 @@ class EgParams(_Mixture):
 class ExpLognormalParams(_Mixture):
     """Exponential plus Lognormal mixture (comparison baseline).
 
-    ``mu`` and ``sigma2`` are the mean and variance of log-intensity.  This
+    ``mu`` and ``sigma2`` are the mean and variance of log-intensity; ``mu``
+    must be finite and ``lam``, ``sigma2`` finite and positive, else
+    ValueError.  This
     variant is scored against the others in goodness-of-fit comparisons only;
     no SNR-domain performance formulas are defined for it.
     """
@@ -346,6 +348,7 @@ class ExpLognormalParams(_Mixture):
     def __post_init__(self):
         _validate_weight(self.omega)
         check_positive(lam=self.lam, sigma2=self.sigma2)
+        check_finite(mu=self.mu)
 
     def _second_log_pdf(self, i, log_i):
         s2 = self.sigma2

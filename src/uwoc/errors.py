@@ -1,6 +1,7 @@
 """Exception types shared across the package, and the input check of every
 public entry point: ``checked_array`` for arrays (DataError at the first bad
-entry's index) and ``check_positive`` for scalars (ValueError naming it)."""
+entry's index) and ``check_positive`` for scalars (ValueError naming it), and
+``check_finite`` for the scalars that may be zero or negative."""
 
 import math
 
@@ -72,3 +73,10 @@ def check_positive(**scalars):
     for name, value in scalars.items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_finite(**scalars):
+    """Raise ``ValueError`` naming the first of ``scalars`` that is not finite."""
+    for name, value in scalars.items():
+        if not -math.inf < value < math.inf:
+            raise ValueError(f"{name} must be finite, got {value!r}")

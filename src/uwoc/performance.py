@@ -6,10 +6,12 @@ evaluates outage probability, average bit error rate, and ergodic capacity.
 Outage comes from the incomplete-gamma closed form.  BER and capacity have
 one production route, a certified quadrature: each lobe's expectation is
 integrated in t = ln U around the peak of its concave log-integrand, on
-vectorized Gauss-Kronrod panels seeded at the peak, the parts are summed in
-log space, and the value is returned only when the error bound of the total
-is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).  Values
-below the double range therefore come back certified as 0.0 or subnormal.
+vectorized Gauss-Kronrod panels seeded at the peak (the first round of
+panels of all of a point's lobes in one integrand call), the parts are
+summed in log space, and the value is returned only when the error bound of
+the total is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).
+Values below the double range therefore come back certified as 0.0 or
+subnormal.
 The route needs numpy and the compiled ufuncs of ``scipy.special`` only.
 The paper's Fox H closed forms stay available as ``method='foxh'``, their
 contour integrals on the same Gauss-Kronrod panels, and every metric has a
@@ -26,14 +28,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Optional
 
 import numpy as np
 
 from .distributions import EggParams, EgParams, WEIGHT_EPS
 from .errors import ConvergenceError, check_positive, checked_array
-from .special import Estimate, FoxHSpec, QuadratureConfig, _gauss_kronrod, fox_h_ln, sp
+from .special import (Estimate, FoxHSpec, QuadratureConfig, _gauss_kronrod, _gk_nodes, _gk_panels,
+                      fox_h_ln, sp)
 
 __all__ = [
     "DetectionMode",
@@ -184,12 +187,17 @@ def electrical_snr(params: EggParams, mode: DetectionMode, gamma_bar):
     """Average electrical SNR mu_r for a given average SNR.
 
     Heterodyne uses mu_1 = gamma_bar; IM/DD divides by the second intensity
-    moment so that gamma_bar = mu_2 E[I^2].  ``gamma_bar`` > 0, else ValueError.
+    moment so that gamma_bar = mu_2 E[I^2].  ``gamma_bar`` > 0, else
+    ValueError; so is a mu_r that leaves the double range, as a finite
+    gamma_bar over a tiny or underflowed E[I^2] can.
     """
     check_positive(gamma_bar=gamma_bar)
     if mode.r == 1:
         return float(gamma_bar)
-    return float(gamma_bar) / params.moment(2)
+    second = params.moment(2)
+    mu_r = float(gamma_bar) / second if second > 0.0 else math.inf
+    check_positive(mu_r=mu_r)
+    return mu_r
 
 
 @dataclass(frozen=True)
@@ -431,12 +439,18 @@ def _log_integrand(a, s0, kappa, log_h):
     return ell
 
 
-def _lobe_expectation(a, s0, kappa, kernel):
-    """E[h(s0 + kappa ln U)] for U ~ Gamma(a, 1), as (log scale, value, bound).
+def _lobe_integrand(a, s0, kappa, f_star, log_h_array, t):
+    """exp(L(t) - L*), the scaled integrand of :func:`_lobe_expectations`."""
+    return np.exp(a * t - np.exp(np.minimum(t, 709.0)) + log_h_array(s0 + kappa * t) - f_star)
+
+
+def _lobe_expectations(lobes, kernel):
+    """w E[h(s0 + kappa ln U)] for U ~ Gamma(a, 1) and each (ln w, a, s0,
+    kappa) of ``lobes``, as a list of (log scale, value, bound).
 
     ``kernel`` is the pair of forms of ln h: scalar with its first two
-    derivatives, and array-valued.  The expectation is exp(log scale) *
-    value, and bound bounds the error of value.  With t = ln U the
+    derivatives, and array-valued.  A part is exp(log scale) * value, and
+    bound bounds the error of value.  With t = ln U the
     log-integrand L(t) = a t - e^t + ln h(s0 + kappa t) - ln Gamma(a) is
     concave for the BER and capacity kernels.  It is integrated as
     exp(L - L*) on Gauss-Kronrod panels between the points where it has
@@ -445,45 +459,65 @@ def _lobe_expectation(a, s0, kappa, kernel):
     exp(L - L*) / |L'| there.  The peak and the ends are found by Newton
     steps in ln N - ln P, where L' = P - N splits into its positive and
     negative parts, and in ln(L* - L) far below the level, L near it.
+
+    The searches run lobe by lobe.  The first round of panels of every lobe
+    then goes through one integrand call and one :func:`_gk_panels`, and each
+    lobe's own :func:`_gauss_kronrod` takes its slice of that round, stops or
+    splits by its own tolerance, and goes on alone.
     """
-    ell, log_h_array = _log_integrand(a, s0, kappa, kernel[0]), kernel[1]
-    t_star, f_star, d2 = _argmax(ell, a)
-    target = f_star - _DROP
-    step = math.sqrt(2.0 * _DROP / max(-d2, 1e-12))
-    t_lo, f_lo, slope_lo = _level_point(ell, t_star, target, step, -1.0)
-    t_hi, f_hi, slope_hi = _level_point(ell, t_star, target, step, 1.0)
-    tails = (math.exp(f_lo - f_star) / slope_lo if slope_lo > 0.0 else math.inf) + (
-        math.exp(f_hi - f_star) / -slope_hi if slope_hi < 0.0 else math.inf
-    )
-    inner = t_star + _BREAK_LADDER / math.sqrt(max(-d2, 1e-12))
-    breaks = np.concatenate(([t_lo], inner[(inner > t_lo) & (inner < t_hi)], [t_hi]))
+    log_h, log_h_array = kernel
+    params, scales, panels, tails = [], [], [], []
+    for log_w, a, s0, kappa in lobes:
+        ell = _log_integrand(a, s0, kappa, log_h)
+        t_star, f_star, d2 = _argmax(ell, a)
+        target = f_star - _DROP
+        step = math.sqrt(2.0 * _DROP / max(-d2, 1e-12))
+        t_lo, f_lo, slope_lo = _level_point(ell, t_star, target, step, -1.0)
+        t_hi, f_hi, slope_hi = _level_point(ell, t_star, target, step, 1.0)
+        tails.append((math.exp(f_lo - f_star) / slope_lo if slope_lo > 0.0 else math.inf) + (
+            math.exp(f_hi - f_star) / -slope_hi if slope_hi < 0.0 else math.inf
+        ))
+        inner = t_star + _BREAK_LADDER / math.sqrt(max(-d2, 1e-12))
+        panels.append(np.concatenate(([t_lo], inner[(inner > t_lo) & (inner < t_hi)], [t_hi])))
+        params.append((a, s0, kappa, f_star))
+        scales.append(log_w + (f_star - sp.gammaln(a)))
+    counts = [breaks.size - 1 for breaks in panels]
+    lo = np.concatenate([breaks[:-1] for breaks in panels])
+    half = 0.5 * (np.concatenate([breaks[1:] for breaks in panels]) - lo)
+    # each panel's (a, s0, kappa, L*), as columns that broadcast over its 15 nodes
+    columns = np.array(params).repeat(counts, axis=0).T[:, :, None]
+    value, error = _gk_panels(_lobe_integrand(*columns, log_h_array, _gk_nodes(lo, half)), half)
+    out, end = [], 0
+    for args, scale, breaks, tail, count in zip(params, scales, panels, tails, counts):
+        first, end = slice(end, end + count), end + count
+        integrand = partial(_lobe_integrand, *args, log_h_array)
+        try:
+            est = _gauss_kronrod(integrand, breaks, _QUAD, (value[first], error[first]))
+            v, err = float(est), est.error_bound
+        except ConvergenceError as exc:
+            v, err = exc.estimate, exc.error_bound
+        out.append((scale, v, err + tail))
+    return out
 
-    def integrand(t):
-        return np.exp(a * t - np.exp(np.minimum(t, 709.0)) + log_h_array(s0 + kappa * t) - f_star)
 
-    try:
-        est = _gauss_kronrod(integrand, breaks, _QUAD)
-        value, err = float(est), est.error_bound
-    except ConvergenceError as exc:
-        value, err = exc.estimate, exc.error_bound
-    return f_star - sp.gammaln(a), value, err + tails
+def _lobe_expectation(a, s0, kappa, kernel):
+    """The one-lobe case of :func:`_lobe_expectations`, at weight 1."""
+    return _lobe_expectations([(0.0, a, s0, kappa)], kernel)[0]
 
 
 def _certified_expectation(link: LinkBudget, terms, kernel):
     """sum_k w_k E[h(s_k + r ln I)] over the fading mixture, certified.
 
     ``terms`` holds (ln w_k, s_k) pairs.  Every lobe of every term is scaled
-    by its own peak; the parts are summed in log space and the summed error
-    bound is tested against ``CERTIFY_RTOL`` of the summed value.  Returns an
+    by its own peak, all of them in one :func:`_lobe_expectations` call; the
+    parts are summed in log space and the summed error bound is tested
+    against ``CERTIFY_RTOL`` of the summed value.  Returns an
     :class:`Estimate`, which is 0.0 or subnormal when the value lies below
     the double range, or raises :class:`ConvergenceError`.
     """
     r, lobes = link.r, _lobes(link.params)
-    parts = []
-    for log_w, s in terms:
-        for log_weight, a, log_b, c in lobes:
-            scale, value, bound = _lobe_expectation(a, s + r * log_b, r / c, kernel)
-            parts.append((log_w + log_weight + scale, value, bound))
+    parts = _lobe_expectations([(log_w + log_weight, a, s + r * log_b, r / c)
+                                for log_w, s in terms for log_weight, a, log_b, c in lobes], kernel)
     top = max(scale for scale, _, _ in parts)
     total = sum(math.exp(scale - top) * value for scale, value, _ in parts)
     bound = sum(math.exp(scale - top) * b for scale, _, b in parts)

@@ -2,7 +2,8 @@
 
 A numpy Gauss-Kronrod (G7/K15) integrator that evaluates every open panel
 in one array call carries the lobe integrals of the BER and capacity route,
-and the Fox H evaluator's Mellin-Barnes integral along a vertical contour.
+whose first round of panels one call serves for several integrals, and the
+Fox H evaluator's Mellin-Barnes integral along a vertical contour.
 ``adaptive_quad`` wraps QUADPACK (``scipy.integrate.quad``) with the same
 contract, an error bound or :class:`ConvergenceError`, and stays as the
 tests' oracle.  Gamma-family functions are ``scipy.special``'s compiled
@@ -23,7 +24,7 @@ import numpy as np
 # SciPy loads on first use: scipy.integrate inside adaptive_quad, the ufuncs
 # of scipy.special through ``sp``; importing uwoc loads none of them
 
-from .errors import ConvergenceError, check_positive, checked_array
+from .errors import ConvergenceError, check_finite, check_positive, checked_array
 
 __all__ = [
     "QuadratureConfig",
@@ -159,6 +160,7 @@ _GK_WEIGHTS = np.zeros((15, 2))
 _GK_WEIGHTS[:, 0] = _K15
 _GK_WEIGHTS[1::2, 1] = _G7
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 # the Fox H contour ends where the integrand has fallen this far in log below
 # its value at t = 0; the abscissa search takes this many points out from each
 # pole wall and again to refine its best point
@@ -166,38 +168,54 @@ _FOXH_DROP = 60.0
 _ABSCISSA_GRID = 64
 
 
-def _gauss_kronrod(f, breaks, cfg: QuadratureConfig = DEFAULT_QUAD):
+def _gk_nodes(lo, half):
+    """The 15 nodes of each panel (left end ``lo``, half-width ``half``), one row a panel."""
+    return lo[:, None] + 2.0 * half[:, None] * _GK_UNIT
+
+
+def _gk_panels(fv, half):
+    """Kronrod value and error of each panel from ``fv``, its integrand at its
+    nodes (one row a panel; overwritten), and its half-width ``half``.
+
+    The error is QUADPACK's: resasc * min(1, (200 |K - G| / resasc)^1.5),
+    floored at 50 eps resabs.  The ratio is taken as min(200 |K - G|, resasc)
+    / max(resasc, tiny), which is the same wherever resasc is a normal float
+    and neither divides by zero nor overflows where it is not.
+    """
+    sums = fv @ _GK_WEIGHTS
+    kronrod = sums[:, 0]
+    resabs = np.abs(fv) @ _K15
+    fv -= 0.5 * kronrod[:, None]
+    resasc = np.abs(fv, out=fv) @ _K15
+    spread = 200.0 * np.abs(kronrod - sums[:, 1])
+    error = resasc * (np.minimum(spread, resasc) / np.maximum(resasc, _TINY)) ** 1.5
+    np.maximum(error, 50.0 * _EPS * resabs, out=error)
+    kronrod *= half
+    error *= half
+    return kronrod, error
+
+
+def _gauss_kronrod(f, breaks, cfg: QuadratureConfig = DEFAULT_QUAD, first=None):
     """Integrate ``f`` over [breaks[0], breaks[-1]] on G7/K15 panels.
 
-    ``f`` maps an array of nodes to the integrand there; every new panel's 15
-    nodes go through it in one call.  ``breaks`` (finite, increasing) seed
-    the panels.  Each panel's error is QUADPACK's estimate
-    resasc * min(1, (200 |K - G| / resasc)^1.5), floored at 50 eps resabs.
-    While the summed error exceeds max(abs_tol, rel_tol |total|), every panel
-    whose error is over its share, by width, of that tolerance is bisected.
-    Returns an :class:`Estimate`, or raises :class:`ConvergenceError` with
-    the estimate and its bound once more than ``cfg.max_subdivisions``
-    panels would be in use.
+    ``f`` maps an array of nodes (a row of 15 a panel) to the integrand
+    there, elementwise; every new panel's nodes go through it in one call.  ``breaks`` (finite, increasing) seed
+    the panels; ``first``, when given, is the (value, error) pair that
+    :func:`_gk_panels` already returned for those panels, so a caller can
+    evaluate the first round of several integrals at once.  Each panel's error
+    is QUADPACK's estimate (see :func:`_gk_panels`).  While the summed error
+    exceeds max(abs_tol, rel_tol |total|), every panel whose error is over its
+    share, by width, of that tolerance is bisected.  Returns an
+    :class:`Estimate`, or raises :class:`ConvergenceError` with the estimate
+    and its bound once more than ``cfg.max_subdivisions`` panels would be in
+    use.
     """
     breaks = np.asarray(breaks, dtype=float)
     span = breaks[-1] - breaks[0]
-    new_lo, new_half = breaks[:-1], 0.5 * np.diff(breaks)
     # every panel so far: its left end, half-width, integral and error
-    lo = half = value = error = np.empty(0)
+    lo, half = breaks[:-1], 0.5 * (breaks[1:] - breaks[:-1])
+    value, error = _gk_panels(f(_gk_nodes(lo, half)), half) if first is None else first
     while True:
-        fv = f((new_lo[:, None] + 2.0 * new_half[:, None] * _GK_UNIT).ravel()).reshape(-1, 15)
-        # the two rules, the spreads and the error, per unit of half-width
-        sums = fv @ _GK_WEIGHTS
-        kronrod = sums[:, 0]
-        resabs = np.abs(fv) @ _K15
-        resasc = np.abs(fv - 0.5 * kronrod[:, None]) @ _K15
-        with np.errstate(divide="ignore", invalid="ignore"):
-            # resasc is 0 only where f is constant, and there the floor rules
-            new_error = resasc * np.fmin(1.0, (200.0 * np.abs(kronrod - sums[:, 1]) / resasc) ** 1.5)
-        new_error = np.maximum(new_error, 50.0 * _EPS * resabs)
-        lo, half = np.concatenate([lo, new_lo]), np.concatenate([half, new_half])
-        value = np.concatenate([value, kronrod * new_half])
-        error = np.concatenate([error, new_error * new_half])
         total, bound = float(value.sum()), float(error.sum())
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if bound <= tol:
@@ -212,11 +230,14 @@ def _gauss_kronrod(f, breaks, cfg: QuadratureConfig = DEFAULT_QUAD):
                 estimate=total,
                 error_bound=bound,
             )
+        keep = ~split
         new_half = 0.5 * half[split]
         new_lo = np.concatenate([lo[split], lo[split] + 2.0 * new_half])
         new_half = np.concatenate([new_half, new_half])
-        keep = ~split
-        lo, half, value, error = lo[keep], half[keep], value[keep], error[keep]
+        new_value, new_error = _gk_panels(f(_gk_nodes(new_lo, new_half)), new_half)
+        lo, half = np.concatenate([lo[keep], new_lo]), np.concatenate([half[keep], new_half])
+        value = np.concatenate([value[keep], new_value])
+        error = np.concatenate([error[keep], new_error])
 
 
 @dataclass(frozen=True)
@@ -231,8 +252,9 @@ class FoxHSpec:
 
     integrated as (1/2 pi i) int theta(s) z^{-s} ds over a vertical contour
     separating the two pole families.  Construction fails when no such
-    contour exists, and with DataError when a scale is not finite and
-    positive (indexed over A_1..A_p, then B_1..B_q).
+    contour exists, with DataError when a scale is not finite and positive
+    (indexed over A_1..A_p, then B_1..B_q), and with ValueError naming a_j or
+    b_j when a location is not finite.
     """
 
     m: int
@@ -252,6 +274,8 @@ class FoxHSpec:
         if not (0 <= self.m <= self.q == len(lower)):
             raise ValueError("need 0 <= m <= q == len(lower_params)")
         checked_array([A for _, A in upper + lower], "scale A_j/B_j")
+        check_finite(**{f"a_{j}": a for j, (a, _) in enumerate(upper, 1)},
+                     **{f"b_{j}": b for j, (b, _) in enumerate(lower, 1)})
         if self.contour_lo >= self.contour_hi:
             raise ValueError(
                 "pole families are not separable by a vertical contour "

@@ -9,10 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
+from uwoc.distributions import EggParams, ExpLognormalParams
 from uwoc.em import EmConfig, e_step, fit, log_likelihood, m_step_exp, m_step_gg, update_omega
 from uwoc.errors import DataError, check_positive, checked_array
 from uwoc.gof import Histogram, build_histogram, mse_cdf
 from uwoc.performance import (
+    HETERODYNE,
     IMDD,
     LinkBudget,
     electrical_snr,
@@ -95,6 +97,33 @@ def test_scalar_snr_is_checked_as_an_array_of_one(bad):
 def test_infinite_average_snr_is_not_an_outage_of_zero():
     with pytest.raises(ValueError, match="gamma_bar"):
         LinkBudget(EGG, IMDD, math.inf)
+
+
+@pytest.mark.parametrize("params, gamma_bar", [
+    (EggParams(0.2, 1e-3, 1.0, 1e-3, 1.0), 1e305),  # E[I^2] = 2e-6: mu_r overflows
+    (EggParams(1.0, 1e-200, 1.0, 1.0, 1.0), 10.0),  # E[I^2] underflows to 0
+], ids=["overflow", "underflow"])
+def test_finite_average_snr_whose_electrical_snr_leaves_the_range(params, gamma_bar):
+    with pytest.raises(ValueError, match=r"^mu_r must be positive and finite"):
+        LinkBudget(params, IMDD, gamma_bar)
+    assert LinkBudget(params, HETERODYNE, gamma_bar).mu_r == gamma_bar
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_lognormal_location_must_be_finite(bad):
+    with pytest.raises(ValueError, match=r"^mu must be finite, got"):
+        ExpLognormalParams(0.5, 1.0, bad, 1.0)
+    assert 0.0 < ExpLognormalParams(0.5, 1.0, -3.0, 1.0).cdf(1.0) < 1.0  # any finite sign
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_fox_h_locations_must_be_finite(bad):
+    with pytest.raises(ValueError, match=r"^b_1 must be finite, got"):
+        FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((bad, 1.0),))
+    # a location of the denominator, which does not bound the contour strip
+    with pytest.raises(ValueError, match=r"^a_2 must be finite, got"):
+        FoxHSpec(m=1, n=1, p=2, q=1, upper_params=((0.0, 1.0), (bad, 1.0)),
+                 lower_params=((1.0, 1.0),))
 
 
 def test_messages_name_the_entry_and_the_problem():

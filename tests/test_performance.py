@@ -368,8 +368,8 @@ class TestDefaultRoute:
             assert avg_ber(link, modulation) == pytest.approx(want, rel=1e-6)
 
     def test_uncertified_value_raises(self, monkeypatch):
-        def loose(f, breaks, cfg):
-            est = _gauss_kronrod(f, breaks, cfg)
+        def loose(f, breaks, cfg, first=None):
+            est = _gauss_kronrod(f, breaks, cfg, first)
             return Estimate(est, 1e-3 * abs(est))
 
         monkeypatch.setattr(performance, "_gauss_kronrod", loose)
@@ -555,6 +555,56 @@ class TestLobeIntegrator:
         for si, gi in zip(s, got):
             want = scalar(float(si))[0]
             assert gi == want or abs(gi - want) <= 1e-13 * abs(want), si
+
+
+def _per_lobe_sum(link, terms, kernel):
+    """sum_k w_k E[h(s_k + r ln I)] as the log-space sum of one
+    ``_lobe_expectation`` per term and lobe."""
+    parts = []
+    for log_w, s in terms:
+        for log_weight, a, log_b, c in performance._lobes(link.params):
+            scale, value, _ = performance._lobe_expectation(a, s + link.r * log_b, link.r / c, kernel)
+            parts.append((log_w + log_weight + scale, value))
+    top = max(scale for scale, _ in parts)
+    return math.exp(top) * sum(math.exp(scale - top) * value for scale, value in parts)
+
+
+class TestOneFirstRound:
+    """The lobes of a point share one first round of panels, and then each
+    goes on alone: the same value as one integral per lobe."""
+
+    @pytest.mark.parametrize("label, mode, modulation, snr_db", [
+        # each of its lobe integrals needs a second round
+        pytest.param("salty-0lpm", HETERODYNE, Modulation.mqam(16), 20.0, id="salty-0lpm-16qam-20dB"),
+        pytest.param("2.4lpm-0.05C", IMDD, None, 50.0, id="2.4lpm-0.05C-imdd-capacity-50dB"),
+        # two of its four lobe integrals stop after the shared round
+        pytest.param("2.4lpm-0.05C", HETERODYNE, Modulation.mpsk(8), -10.0, id="2.4lpm-0.05C-8psk--10dB"),
+    ])
+    def test_matches_the_per_lobe_sum(self, label, mode, modulation, snr_db):
+        link = LinkBudget(condition(label).egg, mode, db(snr_db))
+        log_mu = math.log(link.mu_r)
+        if modulation is None:
+            got = ergodic_capacity(link)
+            want = _per_lobe_sum(link, [(0.0, math.log(CAPACITY_TAU) + log_mu)],
+                                 performance._CAPACITY_KERNEL)
+        else:
+            got = avg_ber(link, modulation)
+            delta, _, q, _ = modulation_params(modulation)
+            want = _per_lobe_sum(link, [(math.log(0.5 * delta), math.log(qk) + log_mu) for qk in q],
+                                 performance._BER_KERNEL)
+        assert got == pytest.approx(want, rel=1e-13)
+
+    def test_one_panel_round_for_all_lobes(self, monkeypatch):
+        rounds, panels = [], performance._gk_panels
+
+        def counted(fv, half):
+            rounds.append(half.size)
+            return panels(fv, half)
+
+        monkeypatch.setattr(performance, "_gk_panels", counted)
+        # 8-PSK has two kernel terms, each over both lobes: four integrals
+        avg_ber(LinkBudget(ROW1, HETERODYNE, db(20.0)), Modulation.mpsk(8))
+        assert len(rounds) == 1
 
 
 def _counted_lobe(params, mode, snr_db, metric, lobe):

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from uwoc.special import (
     FoxHSpec,
     QuadratureConfig,
     _gauss_kronrod,
+    _gk_nodes,
+    _gk_panels,
     adaptive_quad,
     fox_h,
 )
@@ -77,6 +80,33 @@ class TestGaussKronrod:
             [0.0, 1.0, 2.0], cfg)
         assert est == pytest.approx(0.01 * rate, rel=1e-12)
         assert est.error_bound <= 1e-8 * est
+
+    # a panel's error divides by its resasc, which is 0 on a constant or zero
+    # panel and subnormal on a subnormal integrand: none of them may warn
+    @pytest.mark.parametrize("f, breaks, want", [
+        # K/2 rounds to the constant, so resasc is 0 while K != G
+        (lambda t: np.full_like(t, 1.2697867137638703e20), [0.0, 0.5, 2.0], 2.5395734275277406e20),
+        (lambda t: np.full_like(t, 3.0), [-1.0, 1.0], 6.0),
+        (lambda t: np.where(t < 1.0, 0.0, t), [0.0, 1.0, 2.0], 1.5),
+        (lambda t: 1e-310 * np.exp(t), [0.0, 1.0], 1e-310 * math.expm1(1.0)),
+    ], ids=["constant-resasc-0", "constant", "zero-panel", "subnormal"])
+    def test_degenerate_resasc_does_not_warn(self, f, breaks, want):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = _gauss_kronrod(f, breaks)
+        assert est == pytest.approx(want, rel=1e-12)
+        assert 0.0 <= est.error_bound <= 1e-12 * want
+
+    def test_first_round_given_is_the_first_round_taken(self):
+        # a caller that evaluated the first round itself gets the same panels
+        f = lambda t: np.exp(-t * t) * np.cos(3.0 * t)
+        cfg = QuadratureConfig(abs_tol=1e-15, rel_tol=1e-12, max_subdivisions=400)
+        breaks = np.array([-30.0, 0.0, 30.0])
+        lo, half = breaks[:-1], 0.5 * np.diff(breaks)
+        first = _gk_panels(f(_gk_nodes(lo, half)), half)
+        own, given = _gauss_kronrod(f, breaks, cfg), _gauss_kronrod(f, breaks, cfg, first)
+        assert float(own).hex() == float(given).hex()
+        assert own.error_bound == given.error_bound
 
 
 class TestFoxHSpec:
