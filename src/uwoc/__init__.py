@@ -18,17 +18,17 @@ _EXPORTS = {
     "em": ("EmConfig", "FitReport", "e_step", "fit", "log_likelihood", "m_step_exp",
            "m_step_gg", "update_omega"),
     "gof": ("Histogram", "build_histogram", "mse_cdf", "r_square"),
-    "montecarlo": ("SimConfig", "simulate", "simulate_ber", "simulate_capacity",
-                   "simulate_outage"),
+    "montecarlo": ("SimConfig", "simulate", "simulate_ber"),
     "presets": ("ALL_CONDITIONS", "GRADIENT_CONDITIONS", "UNIFORM_CONDITIONS",
                 "ChannelCondition", "condition"),
     "errors": ("ConvergenceError", "DataError", "DegenerateComponentError", "FitFailureError",
                "HistogramError", "UndefinedScoreError", "UwocError"),
     "performance": ("CAPACITY_TAU", "HETERODYNE", "IMDD", "DetectionMode", "LinkBudget",
-                    "Modulation", "avg_ber", "avg_ber_asymptotic", "avg_ber_quadrature",
-                    "capacity_asymptotic", "capacity_quadrature", "electrical_snr",
-                    "ergodic_capacity", "modulation_params", "outage", "snr_cdf",
-                    "snr_cdf_asymptotic", "snr_moment", "snr_pdf"),
+                    "Modulation", "avg_ber", "avg_ber_asymptotic", "avg_ber_foxh",
+                    "avg_ber_quadrature", "capacity_asymptotic", "capacity_foxh",
+                    "capacity_quadrature", "electrical_snr", "ergodic_capacity",
+                    "modulation_params", "outage", "snr_cdf", "snr_cdf_asymptotic",
+                    "snr_moment", "snr_pdf"),
     "special": ("FoxHSpec", "QuadratureConfig", "adaptive_quad", "fox_h"),
 }
 

@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Subcommands: ``fit`` (EM estimation from a sample file), ``gof`` (re-score a
-fit against samples), ``perf`` (outage/BER/capacity curves from closed
-forms), ``simulate`` (the same curves by Monte Carlo), and ``synth``
-(synthetic sample generation).  Reports are JSON, curves and samples are
+fit against samples), ``perf`` (outage/BER/capacity curves: outage from its
+closed form, BER and capacity from the certified quadrature), ``simulate``
+(the same curves by Monte Carlo), and ``synth`` (synthetic sample
+generation).  Reports are JSON, curves and samples are
 CSV-like text, and every command is deterministic given its flags.  Each
 ``cmd_*`` imports the modules it runs, so a process loads only its own
 command's code.
@@ -379,7 +380,8 @@ def build_parser():
             p.add_argument("--asymptotic", action="store_true",
                            help="append high-SNR asymptote rows")
 
-    p_perf = sub.add_parser("perf", help="closed-form metric curves over an SNR grid")
+    p_perf = sub.add_parser("perf", help="metric curves over an SNR grid: outage by closed "
+                                         "form, BER and capacity by certified quadrature")
     add_curve_args(p_perf, simulated=False)
     p_perf.set_defaults(func=cmd_perf)
 

@@ -74,6 +74,27 @@ def _log_mix(omega, log_exp, log_second):
     return log_mix, share
 
 
+def _exp(x):
+    """e^x, or inf where it exceeds the double range."""
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def _scaled_moment(scale, n, log_ratio):
+    """scale^n e^log_ratio, a lobe's n-th moment; taken in log space where a
+    factor leaves the range of normal doubles, so inf where the product
+    overflows and 0 only where it underflows."""
+    try:
+        power = scale**n
+        if power >= _TINY:
+            return power * math.exp(log_ratio)
+    except OverflowError:
+        pass
+    return _exp(n * math.log(scale) + log_ratio)
+
+
 def _maybe_scalar(value, template):
     if np.isscalar(template) or np.ndim(template) == 0:
         return float(value)
@@ -147,22 +168,29 @@ class _Mixture(ABC):
     def moment(self, n):
         """E[I^n] for integer n >= 0, from the closed-form lobe moments.
 
-        A lobe of weight 0 is left out, so that a second lobe whose moment
-        overflows does not stop the moments of a pure exponential model.
+        A moment beyond the double range is inf.  A lobe of weight 0 is left
+        out, so that a second lobe whose moment overflows does not turn the
+        moments of a pure exponential model into NaN (0 times inf).
         """
         if n < 0 or n != int(n):
             raise ValueError("moment order must be a non-negative integer")
         n = int(n)
-        out = self.omega * self.lam**n * math.factorial(n) if self.omega > 0.0 else 0.0
+        out = 0.0
+        if self.omega > 0.0:
+            out = self.omega * _scaled_moment(self.lam, n, 0.0) * math.factorial(n)
         if self.omega < 1.0:
             out += (1.0 - self.omega) * self._second_moment(n)
         return out
 
     def scintillation_index(self):
-        """Normalized intensity variance E[I^2]/E[I]^2 - 1."""
+        """Normalized intensity variance E[I^2]/E[I]^2 - 1, or NaN where E[I^2]
+        or E[I]^2 leaves the double range and the ratio cannot be formed."""
         m1 = self.moment(1)
         m2 = self.moment(2)
-        return m2 / m1**2 - 1.0
+        try:
+            return m2 / m1**2 - 1.0 if m2 < math.inf else math.nan
+        except ArithmeticError:  # E[I]^2 overflows, or underflows to 0
+            return math.nan
 
     def mean(self):
         return self.moment(1)
@@ -278,7 +306,7 @@ class EggParams(_Mixture):
 
     def _second_moment(self, n):
         a, b, c = self._gg
-        return b**n * math.exp(sp.gammaln(a + n / c) - sp.gammaln(a))
+        return _scaled_moment(b, n, sp.gammaln(a + n / c) - sp.gammaln(a))
 
     def _sample_second(self, rng, n):
         a, b, c = self._gg
@@ -366,7 +394,7 @@ class ExpLognormalParams(_Mixture):
         return sp.ndtr(z)
 
     def _second_moment(self, n):
-        return math.exp(n * self.mu + 0.5 * n**2 * self.sigma2)
+        return _exp(n * self.mu + 0.5 * n**2 * self.sigma2)
 
     def _sample_second(self, rng, n):
         return rng.lognormal(self.mu, math.sqrt(self.sigma2), size=n)

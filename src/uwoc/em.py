@@ -665,10 +665,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
         if not math.isfinite(final_ll):
             diagnostics.append({"restart": k, "error": "non-finite log-likelihood"})
             continue
-        try:
-            si = float(params.scintillation_index())
-        except ArithmeticError:  # a lobe's moment overflows, or E[I]^2 underflows
-            si = math.nan
+        si = float(params.scintillation_index())  # NaN where the moments overflow
         if not math.isfinite(si):
             diagnostics.append({"restart": k, "error": "non-finite scintillation index"})
             continue

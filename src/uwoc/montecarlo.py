@@ -32,7 +32,7 @@ from .performance import (
 )
 from .special import sp
 
-__all__ = ["SimConfig", "simulate", "simulate_outage", "simulate_ber", "simulate_capacity"]
+__all__ = ["SimConfig", "simulate", "simulate_ber"]
 
 # A running task holds up to three chunk-sized arrays (gamma and two
 # temporaries of the BER kernel, 8 MB each at the default chunk), so the cap
@@ -66,8 +66,9 @@ def simulate(links, metrics, cfg: SimConfig = SimConfig(), modulation: Modulatio
     """Mean and SE of each metric at each link, from one pass over the draws.
 
     The links share ``params`` and ``r``; ``metrics`` are among "outage",
-    "ber" (with ``modulation``) and "capacity".  Each chunk is drawn and raised
-    to I^r once.  Each link's chunk statistics are computed on a pool of
+    "ber" (with ``modulation``) and "capacity", each at most once (else
+    ValueError).  Each chunk is drawn and raised to I^r once.  Each link's
+    chunk statistics are computed on a pool of
     ``min(len(links), cpu_count, _MAX_THREADS)`` threads, each task in a copy
     of the caller's context (so it keeps ``np.errstate``), and merge in link
     order, each (metric, link) into its own accumulator by Chan's parallel
@@ -84,6 +85,9 @@ def simulate(links, metrics, cfg: SimConfig = SimConfig(), modulation: Modulatio
         raise ValueError("simulate needs one or more links with the same params and r")
     if not set(metrics) <= set(stats) or ("ber" in metrics and modulation is None):
         raise ValueError(f"metrics must be among {sorted(stats)}, ber with a modulation: {metrics!r}")
+    repeated = [metric for k, metric in enumerate(metrics) if metric in metrics[:k]]
+    if repeated:
+        raise ValueError(f"metric {repeated[0]!r} is repeated in {metrics!r}")
     for link in links if "ber" in metrics else ():
         _check_compat(link, modulation)
 
@@ -127,16 +131,7 @@ def _ber_kernel(gamma, modulation):
     return 0.5 * delta * sum(sp.erfc(np.sqrt(qk * gamma)) for qk in q)
 
 
-def simulate_outage(link: LinkBudget, cfg: SimConfig = SimConfig()):
-    """Fraction of draws with gamma below the link threshold, with its SE."""
-    return simulate([link], ["outage"], cfg)["outage"][0]
-
-
 def simulate_ber(link: LinkBudget, modulation: Modulation, cfg: SimConfig = SimConfig()):
     """Average of the conditional BER kernel over fading draws, with its SE."""
     return simulate([link], ["ber"], cfg, modulation)["ber"][0]
 
-
-def simulate_capacity(link: LinkBudget, cfg: SimConfig = SimConfig()):
-    """Mean of ln(1 + tau gamma) over fading draws, with its SE."""
-    return simulate([link], ["capacity"], cfg)["capacity"][0]

@@ -13,9 +13,10 @@ the total is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).
 Values below the double range therefore come back certified as 0.0 or
 subnormal.
 The route needs numpy and the compiled ufuncs of ``scipy.special`` only.
-The paper's Fox H closed forms stay available as ``method='foxh'``, their
-contour integrals on the same Gauss-Kronrod panels, and every metric has a
-high-SNR asymptote in elementary functions.
+:func:`avg_ber` and :func:`ergodic_capacity` return its value.  The paper's
+Fox H closed forms, :func:`avg_ber_foxh` and :func:`capacity_foxh`, are the
+tests' oracle for it, their contour integrals on the same Gauss-Kronrod
+panels, and every metric has a high-SNR asymptote in elementary functions.
 
 The exponential lobe omega/lambda e^(-I/lambda) is the Generalized Gamma
 lobe GG(a = 1, b = lambda, c = 1), so every closed form, asymptote and the
@@ -33,7 +34,7 @@ from typing import Optional
 
 import numpy as np
 
-from .distributions import EggParams, EgParams, WEIGHT_EPS
+from .distributions import EggParams, EgParams, WEIGHT_EPS, _exp
 from .errors import ConvergenceError, check_positive, checked_array
 from .special import (Estimate, FoxHSpec, QuadratureConfig, _gauss_kronrod, _gk_nodes, _gk_panels,
                       fox_h_ln, sp)
@@ -53,9 +54,11 @@ __all__ = [
     "outage",
     "avg_ber",
     "avg_ber_quadrature",
+    "avg_ber_foxh",
     "avg_ber_asymptotic",
     "ergodic_capacity",
     "capacity_quadrature",
+    "capacity_foxh",
     "capacity_asymptotic",
     "CAPACITY_TAU",
 ]
@@ -183,6 +186,14 @@ def modulation_params(modulation: Modulation):
     return delta, 0.5, q, n
 
 
+def _check_compat(link: LinkBudget, modulation: Modulation):
+    if modulation.required_r != link.r:
+        need = "IM/DD" if modulation.required_r == 2 else "heterodyne"
+        raise ValueError(
+            f"{modulation.label} is defined for {need} detection only"
+        )
+
+
 def electrical_snr(params: EggParams, mode: DetectionMode, gamma_bar):
     """Average electrical SNR mu_r for a given average SNR.
 
@@ -243,14 +254,6 @@ def _lobes(params: EggParams):
     if 1.0 - params.omega >= WEIGHT_EPS:
         lobes.append((math.log1p(-params.omega), params.a, math.log(params.b), params.c))
     return lobes
-
-
-def _exp(x):
-    """e^x, or inf where it exceeds the double range."""
-    try:
-        return math.exp(x)
-    except OverflowError:
-        return math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -557,9 +560,22 @@ def capacity_quadrature(link: LinkBudget):
     return _certified_expectation(link, [(0.0, log_tau_mu)], _CAPACITY_KERNEL)
 
 
+def avg_ber(link: LinkBudget, modulation: Modulation):
+    """Average bit error rate, the certified quadrature value; raises
+    :class:`ConvergenceError` when it cannot be certified."""
+    return float(avg_ber_quadrature(link, modulation))
+
+
+def ergodic_capacity(link: LinkBudget):
+    """Ergodic capacity in nats per channel use, the certified quadrature
+    value; raises :class:`ConvergenceError` when it cannot be certified."""
+    return float(capacity_quadrature(link))
+
+
 # ---------------------------------------------------------------------------
-# Closed forms (Fox H route): one GG-lobe term per lobe, the exponential lobe
-# as GG(1, lambda, 1), so c = 1 needs no Meijer G special case
+# Closed forms (Fox H, the oracle of the quadrature): one GG-lobe term per
+# lobe, the exponential lobe as GG(1, lambda, 1), so c = 1 needs no Meijer G
+# special case
 # ---------------------------------------------------------------------------
 
 @lru_cache(maxsize=256)
@@ -580,16 +596,10 @@ def _cap_spec_gg(a, cr):
     )
 
 
-def _check_compat(link: LinkBudget, modulation: Modulation):
-    if modulation.required_r != link.r:
-        need = "IM/DD" if modulation.required_r == 2 else "heterodyne"
-        raise ValueError(
-            f"{modulation.label} is defined for {need} detection only"
-        )
-
-
-def _avg_ber_foxh(link: LinkBudget, modulation: Modulation, cfg=_FOXH_QUAD):
-    """Exact BER via the Fox H closed form."""
+def avg_ber_foxh(link: LinkBudget, modulation: Modulation):
+    """Average BER from the paper's Fox H closed form, the tests' oracle for
+    :func:`avg_ber`."""
+    _check_compat(link, modulation)
     delta, p, q, _ = modulation_params(modulation)
     r, log_mu = link.r, math.log(link.mu_r)
     total = 0.0
@@ -597,57 +607,23 @@ def _avg_ber_foxh(link: LinkBudget, modulation: Modulation, cfg=_FOXH_QUAD):
         for log_w, a, log_b, c in _lobes(link.params):
             log_z = -c * log_b - (c / r) * (math.log(qk) + log_mu)
             total += math.exp(log_w) * fox_h_ln(
-                _ber_spec_gg(p, a, c / r), log_z, cfg, log_prefactor=-sp.gammaln(a)
+                _ber_spec_gg(p, a, c / r), log_z, _FOXH_QUAD, log_prefactor=-sp.gammaln(a)
             )
     return 0.5 * delta * math.exp(-sp.gammaln(p)) * total
 
 
-def _capacity_foxh(link: LinkBudget, cfg=_FOXH_QUAD):
-    """Exact ergodic capacity via the Fox H closed form, in nats."""
+def capacity_foxh(link: LinkBudget):
+    """Ergodic capacity from the paper's Fox H closed form, in nats; the
+    tests' oracle for :func:`ergodic_capacity`."""
     r = link.r
     log_tau_mu = math.log(CAPACITY_TAU) + math.log(link.mu_r)
     total = 0.0
     for log_w, a, log_b, c in _lobes(link.params):
         log_z = -c * log_b - (c / r) * log_tau_mu
         total += math.exp(log_w) * fox_h_ln(
-            _cap_spec_gg(a, c / r), log_z, cfg, log_prefactor=-sp.gammaln(a)
+            _cap_spec_gg(a, c / r), log_z, _FOXH_QUAD, log_prefactor=-sp.gammaln(a)
         )
     return total
-
-
-def _route(method, foxh, quadrature):
-    if method == "quadrature":
-        return float(quadrature())
-    if method == "foxh":
-        return foxh()
-    raise ValueError(f"unknown method {method!r} (expected 'quadrature' or 'foxh')")
-
-
-def avg_ber(link: LinkBudget, modulation: Modulation, method="quadrature"):
-    """Average bit error rate.
-
-    ``method='quadrature'`` returns the certified quadrature value and raises
-    :class:`ConvergenceError` when it cannot be certified; ``'foxh'``
-    evaluates the paper's Fox H closed form instead.
-    """
-    _check_compat(link, modulation)
-    return _route(
-        method,
-        lambda: _avg_ber_foxh(link, modulation),
-        lambda: avg_ber_quadrature(link, modulation),
-    )
-
-
-def ergodic_capacity(link: LinkBudget, method="quadrature"):
-    """Ergodic capacity in nats per channel use.
-
-    ``method`` chooses the route as in :func:`avg_ber`.
-    """
-    return _route(
-        method,
-        lambda: _capacity_foxh(link),
-        lambda: capacity_quadrature(link),
-    )
 
 
 # ---------------------------------------------------------------------------

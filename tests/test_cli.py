@@ -97,12 +97,12 @@ class TestImport:
 
     def test_foxh_leaves_out_integrate_and_optimize(self):
         # the contour integrals run on the same numpy panels
-        code = ("from uwoc.performance import IMDD, LinkBudget, Modulation, avg_ber, "
-                "ergodic_capacity\n"
+        code = ("from uwoc.performance import IMDD, LinkBudget, Modulation, avg_ber_foxh, "
+                "capacity_foxh\n"
                 "from uwoc.presets import condition\n"
                 "link = LinkBudget(condition('salty-16.5lpm').egg, IMDD, 1e3)\n"
-                "assert 0.0 < avg_ber(link, Modulation.ook(), method='foxh') < 1.0\n"
-                "assert ergodic_capacity(link, method='foxh') > 1.0")
+                "assert 0.0 < avg_ber_foxh(link, Modulation.ook()) < 1.0\n"
+                "assert capacity_foxh(link) > 1.0")
         assert not _loaded_scipy(code) & INTEGRATE_OPTIMIZE
 
     def test_fit_leaves_out_optimize(self, tmp_path, sample_file):

@@ -506,8 +506,7 @@ class TestFit:
                 return runaway, resp, trace + [trace[-1] + 1e3], run
             return params, resp, trace, run
 
-        with pytest.raises(OverflowError):
-            runaway.moment(1)
+        assert runaway.moment(1) == math.inf
         monkeypatch.setattr(em_module, "_em_once", runaway_second)
         report = fit(data, "egg", cfg)
         assert report.diagnostics[1] == {"restart": 1, "error": "non-finite scintillation index"}

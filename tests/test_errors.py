@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from uwoc.distributions import EggParams, ExpLognormalParams
+from uwoc.distributions import EggParams, EgParams, ExpLognormalParams
 from uwoc.em import EmConfig, e_step, fit, log_likelihood, m_step_exp, m_step_gg, update_omega
 from uwoc.errors import DataError, check_positive, checked_array
 from uwoc.gof import Histogram, build_histogram, mse_cdf
@@ -107,6 +107,38 @@ def test_finite_average_snr_whose_electrical_snr_leaves_the_range(params, gamma_
     with pytest.raises(ValueError, match=r"^mu_r must be positive and finite"):
         LinkBudget(params, IMDD, gamma_bar)
     assert LinkBudget(params, HETERODYNE, gamma_bar).mu_r == gamma_bar
+
+
+@pytest.mark.parametrize("params", [
+    EggParams(0.0, 1.0, 1.0, 1e200, 1.0),  # b^2 overflows
+    EggParams(0.0, 1.0, 200.0, 1.0, 0.01),  # Gamma(a + 2/c) / Gamma(a) overflows
+    EgParams(0.0, 1.0, 1.0, 1e200),  # beta^2 overflows
+    EggParams(0.5, 1e200, 1.0, 1.0, 1.0),  # the exponential lobe's lam^2 overflows
+], ids=["gg-scale", "gg-shape", "eg-scale", "exp-scale"])
+def test_second_moment_beyond_the_double_range(params):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert params.moment(2) == math.inf
+        assert math.isnan(params.scintillation_index())
+        with pytest.raises(ValueError, match=r"^mu_r must be positive and finite, got 0.0"):
+            LinkBudget(params, IMDD, 10.0)
+
+
+def test_lognormal_moment_beyond_the_double_range():
+    model = ExpLognormalParams(0.0, 1.0, 400.0, 1.0)  # e^(2 mu + 2 sigma2) overflows
+    assert model.moment(2) == math.inf
+    assert math.isnan(model.scintillation_index())
+
+
+@pytest.mark.parametrize("params, want", [
+    # b^2 = 1e310 overflows; Gamma(2.01) / Gamma(0.01) = 1.01e-2
+    (EggParams(0.0, 1.0, 0.01, 1e155, 1.0), 1.01e308),
+    # b^2 = 1e-340 underflows to 0; Gamma(150.01) / Gamma(0.01) = 4.03e258 (mpmath)
+    (EggParams(0.0, 1.0, 0.01, 1e-170, 1.0 / 75.0), 4.02735568019547e-82),
+], ids=["overflow", "underflow"])
+def test_moment_whose_factor_leaves_the_range_but_not_the_product(params, want):
+    assert params.moment(2) == pytest.approx(want, rel=1e-12)
+    assert params.scintillation_index() > 0.0
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

@@ -11,7 +11,7 @@ from scipy import special as sp
 
 from uwoc import montecarlo
 from uwoc.distributions import EggParams
-from uwoc.montecarlo import SimConfig, simulate, simulate_ber, simulate_capacity, simulate_outage
+from uwoc.montecarlo import SimConfig, simulate, simulate_ber
 from uwoc.performance import (
     CAPACITY_TAU,
     HETERODYNE,
@@ -42,19 +42,20 @@ class TestDeterminism:
     def test_bit_identical_runs(self):
         link = LinkBudget(ROW1, IMDD, db(25.0))
         cfg = SimConfig(n_samples=400_000, seed=11, chunk_size=100_000)
-        assert simulate_outage(link, cfg) == simulate_outage(link, cfg)
-        assert simulate_capacity(link, cfg) == simulate_capacity(link, cfg)
+        for metric in ("outage", "capacity"):
+            assert simulate([link], [metric], cfg) == simulate([link], [metric], cfg)
         assert simulate_ber(
             LinkBudget(ROW1, IMDD, db(25.0)), Modulation.ook(), cfg
         ) == simulate_ber(LinkBudget(ROW1, IMDD, db(25.0)), Modulation.ook(), cfg)
 
     def test_same_floats_for_any_blas_thread_count(self):
-        code = ("from uwoc.montecarlo import SimConfig, simulate_ber, simulate_capacity; "
+        code = ("from uwoc.montecarlo import SimConfig, simulate, simulate_ber; "
                 "from uwoc.performance import IMDD, LinkBudget, Modulation; "
                 "from uwoc.presets import condition; "
                 "link = LinkBudget(condition('23.6lpm-0.22C').egg, IMDD, 1e3); "
                 "cfg = SimConfig(n_samples=1_000_000, seed=7); "
-                "print(simulate_ber(link, Modulation.ook(), cfg), simulate_capacity(link, cfg))")
+                "print(simulate_ber(link, Modulation.ook(), cfg), "
+                "simulate([link], ['capacity'], cfg)['capacity'][0])")
         src = os.path.dirname(os.path.dirname(os.path.abspath(montecarlo.__file__)))
         outputs = []
         for threads in ("1", "2"):
@@ -67,8 +68,8 @@ class TestDeterminism:
 
     def test_se_scaling(self):
         link = LinkBudget(STRONG, IMDD, db(20.0))
-        _, se1 = simulate_capacity(link, SimConfig(n_samples=250_000, seed=3))
-        _, se4 = simulate_capacity(link, SimConfig(n_samples=1_000_000, seed=3))
+        cfgs = [SimConfig(n_samples=n, seed=3) for n in (250_000, 1_000_000)]
+        (_, se1), (_, se4) = (simulate([link], ["capacity"], cfg)["capacity"][0] for cfg in cfgs)
         assert se4 == pytest.approx(0.5 * se1, rel=0.10)
 
 
@@ -83,7 +84,8 @@ class TestChunkMerge:
 
         link = LinkBudget(ROW1, IMDD, db(20.0))
         object.__setattr__(link, "params", SimpleNamespace(sample=sample))
-        est, se = simulate_capacity(link, SimConfig(n_samples=3000, seed=4, chunk_size=1000))
+        cfg = SimConfig(n_samples=3000, seed=4, chunk_size=1000)
+        est, se = simulate([link], ["capacity"], cfg)["capacity"][0]
         assert len(draws) == 3
         gamma = link.mu_r * np.concatenate(draws) ** link.r
         values = np.log1p(CAPACITY_TAU * gamma)
@@ -98,8 +100,8 @@ def _grid_links():
 
 
 class TestOnePass:
-    # float.hex of (estimate, SE) of each link run alone through simulate_outage /
-    # simulate_ber (OOK) / simulate_capacity, pinned from the per-link implementation
+    # float.hex of (estimate, SE) of each link and metric (BER by OOK) run alone,
+    # pinned from the per-link implementation
     SINGLE_POINT = {
         (400_000, 11, 100_000): [
             [("0x1.a5d495182a993p-1", "0x1.3bc4c4517d245p-11"),
@@ -134,10 +136,9 @@ class TestOnePass:
         out = simulate(links, self.METRICS, cfg, Modulation.ook())
         got = [[tuple(v.hex() for v in out[m][j]) for m in self.METRICS] for j in range(3)]
         assert got == self.SINGLE_POINT[budget]
-        # the one-link wrappers read the same pass
-        assert [[tuple(v.hex() for v in est) for est in (
-            simulate_outage(link, cfg), simulate_ber(link, Modulation.ook(), cfg),
-            simulate_capacity(link, cfg))] for link in links] == got
+        # each link and metric run alone reads the same pass
+        assert [[tuple(v.hex() for v in simulate([link], [m], cfg, Modulation.ook())[m][0])
+                 for m in self.METRICS] for link in links] == got
 
     @pytest.mark.parametrize("n_links", [1, 3, 7])
     def test_one_draw_per_chunk(self, n_links):
@@ -174,6 +175,15 @@ class TestOnePass:
             simulate(_grid_links(), ["snr"], cfg)
         with pytest.raises(ValueError):
             simulate([LinkBudget(STRONG, HETERODYNE, 10.0)], ["ber"], cfg, Modulation.ook())
+
+    def test_rejects_a_repeated_metric(self):
+        # a repeat would merge each chunk into the metric's accumulator twice
+        link = LinkBudget(STRONG, IMDD, db(20.0))
+        cfg = SimConfig(n_samples=20_000, seed=1, chunk_size=5000)
+        with pytest.raises(ValueError, match="metric 'outage' is repeated"):
+            simulate([link], ["outage", "outage"], cfg)
+        with pytest.raises(ValueError, match="metric 'ber' is repeated"):
+            simulate([link], ("ber", "capacity", "ber"), cfg, Modulation.ook())
 
 
 class _PoolAsked(Exception):
@@ -239,7 +249,7 @@ class TestLinksOnThreads:
 class TestOutage:
     def test_zero_threshold(self):
         link = LinkBudget(ROW1, IMDD, db(20.0), gamma_th=1e-290)
-        est, se = simulate_outage(link, SimConfig(n_samples=100_000, seed=0))
+        est, se = simulate([link], ["outage"], SimConfig(n_samples=100_000, seed=0))["outage"][0]
         assert est == 0.0 and se == 0.0
 
     def test_fig3_marker_and_analytic(self):
@@ -248,7 +258,8 @@ class TestOutage:
         # with the analytic value at its own 1e7-draw standard error
         link = LinkBudget(STRONG, IMDD, db(60.0))
         analytic = snr_cdf(link, 1.0)
-        est, se = simulate_outage(link, SimConfig(n_samples=10_000_000, seed=42))
+        cfg = SimConfig(n_samples=10_000_000, seed=42)
+        est, se = simulate([link], ["outage"], cfg)["outage"][0]
         assert abs(est - analytic) <= 3.0 * max(se, binomial_se(analytic, 10_000_000))
         marker = 1.059700e-2
         assert abs(marker - analytic) <= 3.0 * binomial_se(analytic, 100_000)
@@ -265,7 +276,8 @@ class TestOutage:
             )
             mode = IMDD if rng.random() < 0.5 else HETERODYNE
             link = LinkBudget(params, mode, db(float(rng.uniform(5.0, 35.0))))
-            est, se = simulate_outage(link, SimConfig(n_samples=200_000, seed=7))
+            cfg = SimConfig(n_samples=200_000, seed=7)
+            est, se = simulate([link], ["outage"], cfg)["outage"][0]
             p = snr_cdf(link, 1.0)
             assert abs(est - p) <= 3.0 * max(se, binomial_se(p, 200_000)) + 1e-12
 
@@ -307,13 +319,14 @@ class TestBer:
 class TestCapacity:
     def test_low_snr_limit(self):
         link = LinkBudget(ROW1, IMDD, 1e-10)
-        est, _ = simulate_capacity(link, SimConfig(n_samples=50_000, seed=1))
+        est, _ = simulate([link], ["capacity"], SimConfig(n_samples=50_000, seed=1))["capacity"][0]
         assert est < 1e-6
 
     def test_fig7_marker_and_analytic(self):
         link = LinkBudget(ROW1, IMDD, db(30.0))
         analytic = ergodic_capacity(link)
-        est, se = simulate_capacity(link, SimConfig(n_samples=10_000_000, seed=9))
+        cfg = SimConfig(n_samples=10_000_000, seed=9)
+        est, se = simulate([link], ["capacity"], cfg)["capacity"][0]
         assert abs(est - analytic) <= 3.0 * se
         marker = 5.564598
         se_campaign = se * math.sqrt(10_000_000 / 100_000)
@@ -331,7 +344,8 @@ class TestCapacity:
             )
             mode = IMDD if rng.random() < 0.5 else HETERODYNE
             link = LinkBudget(params, mode, db(float(rng.uniform(5.0, 35.0))))
-            est, se = simulate_capacity(link, SimConfig(n_samples=200_000, seed=8))
+            cfg = SimConfig(n_samples=200_000, seed=8)
+            est, se = simulate([link], ["capacity"], cfg)["capacity"][0]
             want = capacity_quadrature(link)
             assert abs(est - want) <= 3.0 * se
 
@@ -342,7 +356,8 @@ class TestUnbiasedness:
         p = snr_cdf(link, 1.0)
         hits = 0
         for seed in range(100):
-            est, se = simulate_outage(link, SimConfig(n_samples=20_000, seed=seed))
+            cfg = SimConfig(n_samples=20_000, seed=seed)
+            est, se = simulate([link], ["outage"], cfg)["outage"][0]
             if abs(est - p) <= 3.0 * max(se, binomial_se(p, 20_000)):
                 hits += 1
         assert hits >= 95

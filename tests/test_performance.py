@@ -19,14 +19,14 @@ from uwoc.performance import (
     DetectionMode,
     LinkBudget,
     Modulation,
-    _avg_ber_foxh,
-    _capacity_foxh,
     _ln_erfc_sqrt,
     _ln_softplus,
     avg_ber,
     avg_ber_asymptotic,
+    avg_ber_foxh,
     avg_ber_quadrature,
     capacity_asymptotic,
+    capacity_foxh,
     capacity_quadrature,
     electrical_snr,
     ergodic_capacity,
@@ -263,7 +263,7 @@ class TestAvgBer:
         ook = Modulation.ook()
         for snr_db, want in [(30.0, 7.209610e-2), (40.0, 2.700660e-2), (50.0, 9.045320e-3)]:
             link = LinkBudget(SALTY165, IMDD, db(snr_db))
-            assert avg_ber(link, ook, method="quadrature") == pytest.approx(want, rel=0.05)
+            assert avg_ber(link, ook) == pytest.approx(want, rel=0.05)
 
     def test_foxh_matches_quadrature(self):
         # every preset row, EGG and EG (c = 1)
@@ -275,7 +275,7 @@ class TestAvgBer:
                         link = LinkBudget(params, mode, db(snr_db))
                         assert_crosscheck(
                             lambda: avg_ber_quadrature(link, modulation),
-                            lambda: _avg_ber_foxh(link, modulation),
+                            lambda: avg_ber_foxh(link, modulation),
                             (row.label, params.c, mode.name, snr_db),
                         )
 
@@ -287,11 +287,11 @@ class TestAvgBer:
         # fitted-range shapes whose contour integrand oscillates too fast for
         # the panel cap; the value is below the double range on both routes
         link = LinkBudget(EggParams(0.0, 0.2, a, 1.0, c), mode, db(snr_db))
-        assert _avg_ber_foxh(link, modulation) == 0.0 == avg_ber_quadrature(link, modulation)
+        assert avg_ber_foxh(link, modulation) == 0.0 == avg_ber_quadrature(link, modulation)
 
     def test_monotone_decreasing_bpsk(self):
         bpsk = Modulation.bpsk()
-        vals = [avg_ber(LinkBudget(STRONG, HETERODYNE, db(s)), bpsk, method="quadrature")
+        vals = [avg_ber(LinkBudget(STRONG, HETERODYNE, db(s)), bpsk)
                 for s in np.linspace(5, 70, 14)]
         assert np.all(np.diff(vals) < 0.0)
         assert vals[-1] < 1e-6
@@ -299,25 +299,18 @@ class TestAvgBer:
     def test_16qam_beats_16psk(self):
         for snr_db in np.linspace(10.0, 60.0, 11):
             link = LinkBudget(STRONG, HETERODYNE, db(snr_db))
-            qam = avg_ber(link, Modulation.mqam(16), method="quadrature")
-            psk = avg_ber(link, Modulation.mpsk(16), method="quadrature")
+            qam = avg_ber(link, Modulation.mqam(16))
+            psk = avg_ber(link, Modulation.mpsk(16))
             assert qam < psk
 
     def test_incompatible_modulation(self):
         link = LinkBudget(ROW1, HETERODYNE, 100.0)
-        with pytest.raises(ValueError):
-            avg_ber(link, Modulation.ook())
         link2 = LinkBudget(ROW1, IMDD, 100.0)
-        with pytest.raises(ValueError):
-            avg_ber(link2, Modulation.mqam(16))
-
-    def test_unknown_method(self):
-        link = LinkBudget(SALTY165, IMDD, db(35.0))
-        for method in ("auto", "mc"):
-            with pytest.raises(ValueError, match="unknown method"):
-                avg_ber(link, Modulation.ook(), method=method)
-            with pytest.raises(ValueError, match="unknown method"):
-                ergodic_capacity(link, method=method)
+        for ber in (avg_ber, avg_ber_foxh):
+            with pytest.raises(ValueError, match="ook is defined for IM/DD"):
+                ber(link, Modulation.ook())
+            with pytest.raises(ValueError, match="16-QAM is defined for heterodyne"):
+                ber(link2, Modulation.mqam(16))
 
 
 def _no_foxh(*args, **kwargs):
@@ -333,8 +326,8 @@ class TestDefaultRoute:
     ConvergenceError otherwise, and Fox H never."""
 
     def test_every_row_evaluates_without_foxh(self, monkeypatch):
-        monkeypatch.setattr(performance, "_avg_ber_foxh", _no_foxh)
-        monkeypatch.setattr(performance, "_capacity_foxh", _no_foxh)
+        monkeypatch.setattr(performance, "avg_ber_foxh", _no_foxh)
+        monkeypatch.setattr(performance, "capacity_foxh", _no_foxh)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for row in ALL_CONDITIONS:
@@ -389,8 +382,9 @@ class TestReferenceTable:
     RTOL = 1e-6
     ABS_FLOOR = 1e-300  # values below the double range compare as zero
 
-    def _check(self, metrics, method):
-        """(points checked, failures) over the table's certified ``metrics``."""
+    def _check(self, metrics, ber, capacity):
+        """(points checked, failures) over the table's certified ``metrics``,
+        BER by ``ber`` and capacity by ``capacity``."""
         with open(REFERENCE) as handle:
             points = json.load(handle)["points"]
         checked, failures = 0, []
@@ -406,9 +400,9 @@ class TestReferenceTable:
                 if p["metric"] == "outage":
                     got = outage(link)
                 elif p["metric"] == "ber":
-                    got = avg_ber(link, Modulation.parse(p["modulation"]), method=method)
+                    got = ber(link, Modulation.parse(p["modulation"]))
                 else:
-                    got = ergodic_capacity(link, method=method)
+                    got = capacity(link)
                 want = float(p["value"])
                 checked += 1
                 if abs(got - want) > self.RTOL * abs(want) + self.ABS_FLOOR:
@@ -417,14 +411,14 @@ class TestReferenceTable:
         return checked, failures
 
     def test_every_certified_point(self):
-        checked, failures = self._check(("outage", "ber", "capacity"), "quadrature")
+        checked, failures = self._check(("outage", "ber", "capacity"), avg_ber, ergodic_capacity)
         assert checked > 1200
         assert failures == []
 
     def test_every_certified_point_by_foxh(self):
         # the deep tail of the *-0lpm rows included (5.72e-100 on salty-0lpm
         # OOK 30 dB, 4.86e-273 on fresh-0lpm BPSK 30 dB)
-        checked, failures = self._check(("ber", "capacity"), "foxh")
+        checked, failures = self._check(("ber", "capacity"), avg_ber_foxh, capacity_foxh)
         assert checked > 1000
         assert failures == []
 
@@ -661,7 +655,7 @@ class TestLobeSearches:
         assert self._peak(*_counted_lobe(params, IMDD, snr_db, "capacity", 0))[1] <= 10
         link = LinkBudget(params, IMDD, db(snr_db))
         assert ergodic_capacity(link) == pytest.approx(
-            ergodic_capacity(link, method="foxh"), rel=1e-9)
+            capacity_foxh(link), rel=1e-9)
 
     def test_level_far_below_the_peak(self):
         # a = 0.0121: the first probe right of the peak lands near L = -1e19,
@@ -724,7 +718,7 @@ class TestErgodicCapacity:
 
     def test_low_snr_limit(self):
         link = LinkBudget(ROW1, IMDD, 1e-9)
-        assert ergodic_capacity(link, method="quadrature") < 1e-6
+        assert ergodic_capacity(link) < 1e-6
 
     def test_sampling_oracle(self):
         link = LinkBudget(ROW1, IMDD, db(30.0))
@@ -740,12 +734,12 @@ class TestErgodicCapacity:
                     link = LinkBudget(params, mode, db(30.0))
                     assert_crosscheck(
                         lambda: capacity_quadrature(link),
-                        lambda: ergodic_capacity(link, method="foxh"),
+                        lambda: capacity_foxh(link),
                         (row.label, params.c, mode.name),
                     )
 
     def test_monotone_in_snr(self):
-        vals = [ergodic_capacity(LinkBudget(ROW1, IMDD, db(s)), method="quadrature")
+        vals = [ergodic_capacity(LinkBudget(ROW1, IMDD, db(s)))
                 for s in np.linspace(5, 60, 20)]
         assert np.all(np.diff(vals) > 0.0)
 
@@ -765,9 +759,9 @@ class TestExponentialLobe:
             ber = 0.5 / (math.sqrt(1.0 + m) * (math.sqrt(1.0 + m) + math.sqrt(m)))
             x = 1.0 / (CAPACITY_TAU * m)
             capacity = math.exp(x) * sp.exp1(x)
-            for got in (_avg_ber_foxh(link, bpsk), float(avg_ber_quadrature(link, bpsk))):
+            for got in (avg_ber_foxh(link, bpsk), float(avg_ber_quadrature(link, bpsk))):
                 assert got == pytest.approx(ber, rel=1e-10, abs=0.0), (lam, snr_db)
-            for got in (_capacity_foxh(link), float(capacity_quadrature(link))):
+            for got in (capacity_foxh(link), float(capacity_quadrature(link))):
                 assert got == pytest.approx(capacity, rel=1e-10, abs=0.0), (lam, snr_db)
 
 
@@ -785,7 +779,7 @@ class TestCapacityAsymptotic:
 
     def test_gap_closes_at_high_snr(self):
         link = LinkBudget(ROW1, IMDD, db(70.0))
-        gap = abs(ergodic_capacity(link, method="quadrature") - capacity_asymptotic(link))
+        gap = abs(ergodic_capacity(link) - capacity_asymptotic(link))
         assert gap < 0.02
 
 
