@@ -25,7 +25,7 @@ import tempfile
 import numpy as np
 
 from . import __version__
-from .distributions import EggParams, MixtureModel, model_from_dict
+from .distributions import _VARIANTS, EggParams, model_from_dict
 from .errors import DataError, UwocError, checked_array
 
 EXIT_OK = 0
@@ -127,23 +127,18 @@ def _load_report_model(path):
     except (OSError, json.JSONDecodeError) as exc:
         raise _UserError(f"cannot read report {path}: {exc}") from exc
     try:
-        return model_from_dict(payload), payload
+        return model_from_dict(payload)
     except ValueError as exc:
         raise _UserError(f"{path}: {exc}") from exc
 
 
 def _resolve_params(args):
+    """The model of ``--params`` or ``--report``, as given: ``LinkBudget``
+    decides which variants have link metrics."""
     if getattr(args, "params", None):
         return _parse_inline_params(args.params)
     if getattr(args, "report", None):
-        model, _ = _load_report_model(args.report)
-        if model.variant == "egg":
-            return model
-        if model.variant == "eg":
-            return model.as_egg()
-        raise _UserError(
-            "performance metrics are defined for the egg/eg models only"
-        )
+        return _load_report_model(args.report)
     raise _UserError("give either --params or --report")
 
 
@@ -183,23 +178,15 @@ def _curve_text(rows, with_se=False):
     return "\n".join(lines) + "\n"
 
 
-def _build_modulation(args, mode):
-    metric = args.metric
-    if metric != "ber":
+def _build_modulation(args):
+    """The ``--modulation`` of a ber curve, else None; ``avg_ber`` and
+    ``simulate`` check it against the detection mode."""
+    if args.metric != "ber":
         return None
     if not args.modulation:
         raise _UserError("ber curves need --modulation")
     from .performance import Modulation
-    try:
-        modulation = Modulation.parse(args.modulation)
-    except ValueError as exc:
-        raise _UserError(str(exc)) from exc
-    if modulation.required_r != mode.r:
-        need = "imdd" if modulation.required_r == 2 else "het"
-        raise _UserError(
-            f"{modulation.label} is defined for --detection {need} only"
-        )
-    return modulation
+    return Modulation.parse(args.modulation)
 
 
 # ---------------------------------------------------------------------------
@@ -240,7 +227,6 @@ def cmd_fit(args):
             "max_iters": cfg.max_iters,
             "restarts": cfg.restarts,
             "seed": cfg.seed,
-            "init_strategy": cfg.init_strategy,
         },
         tool_version=__version__,
         input_digest=_input_digest(args.input),
@@ -251,7 +237,7 @@ def cmd_fit(args):
 
 def cmd_gof(args):
     samples = read_samples(args.input)
-    model, _ = _load_report_model(args.report)
+    model = _load_report_model(args.report)
     payload = {
         **_scorer(samples, args.bins)(model),
         "model": model.variant,
@@ -289,7 +275,7 @@ def cmd_perf(args):
 
     params = _resolve_params(args)
     mode = DetectionMode.parse(args.detection)
-    modulation = _build_modulation(args, mode)
+    modulation = _build_modulation(args)
     grid = _parse_grid(args.snr_db)
     rows = []
     asym_rows = []
@@ -309,7 +295,7 @@ def cmd_simulate(args):
 
     params = _resolve_params(args)
     mode = DetectionMode.parse(args.detection)
-    modulation = _build_modulation(args, mode)
+    modulation = _build_modulation(args)
     cfg = SimConfig(n_samples=args.samples, seed=args.seed)
     grid = _parse_grid(args.snr_db)
     links = [LinkBudget(params, mode, 10.0 ** (snr_db / 10.0), args.gamma_th) for snr_db in grid]
@@ -322,12 +308,7 @@ def cmd_simulate(args):
 def cmd_synth(args):
     if args.n < 1:
         raise _UserError("--n must be >= 1")
-    if args.params:
-        model: MixtureModel = _parse_inline_params(args.params)
-    elif args.report:
-        model, _ = _load_report_model(args.report)
-    else:
-        raise _UserError("give either --params or --report")
+    model = _resolve_params(args)
     rng = np.random.default_rng(args.seed)
     write_samples(args.output, model.sample(rng, args.n))
     return EXIT_OK
@@ -347,7 +328,7 @@ def build_parser():
 
     p_fit = sub.add_parser("fit", help="EM-fit a mixture model to a sample file")
     p_fit.add_argument("--input", required=True, help="sample file, one value per line")
-    p_fit.add_argument("--model", default="egg", choices=["egg", "eg", "explognormal"])
+    p_fit.add_argument("--model", default="egg", choices=list(_VARIANTS))
     p_fit.add_argument("--eps", type=float, default=1e-6, help="convergence threshold")
     p_fit.add_argument("--max-iter", type=int, default=500)
     p_fit.add_argument("--restarts", type=int, default=3)
@@ -368,7 +349,7 @@ def build_parser():
         p.add_argument("--report", help="fit report JSON with egg/eg parameters")
         p.add_argument("--params", help="inline EGG parameters 'omega,lambda,a,b,c'")
         p.add_argument("--detection", required=True, help="imdd or het")
-        p.add_argument("--modulation", help="ook | bpsk | mpsk:M | mqam:M (ber only)")
+        p.add_argument("--modulation", help="ook | bpsk | mpsk:M | mqam:M, square M (ber only)")
         p.add_argument("--snr-db", required=True, help="grid FROM:TO:STEP in dB")
         p.add_argument("--gamma-th", type=float, default=1.0,
                        help="outage threshold SNR, linear (default 1)")

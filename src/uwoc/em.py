@@ -25,6 +25,7 @@ from .distributions import (
     EgParams,
     ExpLognormalParams,
     MixtureModel,
+    _VARIANTS,
     _log_mix,
 )
 from .errors import DataError, DegenerateComponentError, FitFailureError, check_positive, checked_array
@@ -72,16 +73,16 @@ class EmConfig:
     """Knobs of the EM driver.
 
     ``epsilon`` bounds the largest absolute parameter change at convergence;
-    ``init_strategy`` is ``quantile_split`` (default: the exponential lobe
-    seeds from the lowest-intensity quintile, matching its physical role as
-    the blockage component) or ``user_supplied`` (requires ``init_params``).  ``max_iters`` caps the EM maps (M-steps) of one
-    restart.
+    ``max_iters`` caps the EM maps (M-steps) of one restart.  The first
+    restart starts at ``init_params``, a model of the fitted variant, or
+    where it is None at the quantile split: the exponential lobe seeds from
+    the lowest-intensity quintile, matching its physical role as the
+    blockage component.
     """
 
     epsilon: float = 1e-6
     max_iters: int = 500
     restarts: int = 3
-    init_strategy: str = "quantile_split"
     seed: int = 0
     init_params: Optional[MixtureModel] = None
 
@@ -89,10 +90,6 @@ class EmConfig:
         check_positive(epsilon=self.epsilon)
         if self.max_iters < 1 or self.restarts < 1:
             raise ValueError("max_iters and restarts must be >= 1")
-        if self.init_strategy not in ("quantile_split", "user_supplied"):
-            raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
-        if self.init_strategy == "user_supplied" and self.init_params is None:
-            raise ValueError("user_supplied initialization requires init_params")
 
 
 @dataclass
@@ -118,18 +115,6 @@ class FitReport:
     @property
     def loglik(self):
         return self.loglik_trace[-1]
-
-    def to_dict(self):
-        out = self.model.to_dict()
-        out.update(
-            loglik=self.loglik,
-            iterations=self.iterations,
-            converged=self.converged,
-            scintillation_index=self.scintillation_index,
-            responsibilities_summary=self.responsibilities_summary,
-            diagnostics=self.diagnostics,
-        )
-        return out
 
 
 def validate_samples(samples):
@@ -412,7 +397,7 @@ def _gg_moment_init(values):
 
 
 def _initial_params(samples, variant, cfg: EmConfig):
-    if cfg.init_strategy == "user_supplied":
+    if cfg.init_params is not None:
         if cfg.init_params.variant != variant:
             raise ValueError(
                 f"init_params is a {cfg.init_params.variant!r} model, expected {variant!r}"
@@ -531,18 +516,18 @@ def _gg_update(samples, log_i, resp, params: EggParams):
     return params
 
 
-def _second_lobe_update(samples, log_i, resp, params, variant):
+def _second_lobe_update(samples, log_i, resp, params):
     """M-step of the non-exponential lobe; returns an updated params object."""
-    if variant == "egg":
+    if params.variant == "egg":
         return _gg_update(samples, log_i, resp, params)
-    if variant == "eg":
+    if params.variant == "eg":
         alpha, beta = _m_step_gamma(samples, log_i, resp)
         return replace(params, alpha=alpha, beta=beta)
     mu, sigma2 = _m_step_lognormal(log_i, resp)
     return replace(params, mu=mu, sigma2=sigma2)
 
 
-def _em_map(samples, log_i, resp, params, variant):
+def _em_map(samples, log_i, resp, params):
     """One EM map F: the M-steps from ``resp``, the responsibilities of ``params``."""
     candidate = params
     try:
@@ -552,12 +537,12 @@ def _em_map(samples, log_i, resp, params, variant):
     candidate = replace(candidate, omega=min(max(float(resp.mean()), 0.0), 1.0))
     try:
         # per-component Q acceptance keeps this an ascent step
-        return _second_lobe_update(samples, log_i, resp, candidate, variant)
+        return _second_lobe_update(samples, log_i, resp, candidate)
     except DegenerateComponentError:
         return candidate
 
 
-def _em_once(samples, log_i, variant, cfg: EmConfig, params):
+def _em_once(samples, log_i, cfg: EmConfig, params):
     """One SQUAREM-accelerated EM run from ``params``; ``log_i`` is ln of the samples.
 
     A cycle maps twice from the accepted point theta0, theta1 = F(theta0) and
@@ -579,7 +564,7 @@ def _em_once(samples, log_i, variant, cfg: EmConfig, params):
 
     def step(params, resp):
         """One map from an accepted point: (params, resp, stop)."""
-        new = _em_map(samples, log_i, resp, params, variant)
+        new = _em_map(samples, log_i, resp, params)
         new_resp, ll = _resp_and_loglik(samples, log_i, new)
         if ll < trace[-1] - ASCENT_SLACK:
             # should not happen with per-component acceptance; stop cleanly,
@@ -603,7 +588,7 @@ def _em_once(samples, log_i, variant, cfg: EmConfig, params):
         if prime is not None:
             prime_resp, prime_ll = _resp_and_loglik(samples, log_i, prime)
             if math.isfinite(prime_ll):
-                new = _em_map(samples, log_i, prime_resp, prime, variant)
+                new = _em_map(samples, log_i, prime_resp, prime)
                 run["iterations"] += 1
                 new_resp, ll = _resp_and_loglik(samples, log_i, new)
                 kept = math.isfinite(ll) and ll >= trace[-1]
@@ -632,7 +617,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     in restart order, so the report has the same floats as chains run one
     after another.
     """
-    if variant not in ("egg", "eg", "explognormal"):
+    if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
     arr = validate_samples(samples)
     log_i = np.log(arr)  # shared by every E- and M-step of every restart
@@ -653,7 +638,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     # delays the report by a whole chain
     with ThreadPoolExecutor(min(cfg.restarts, 2 * (os.cpu_count() or 1))) as pool:
         # each chain runs in a copy of the caller's context, which carries np.errstate
-        chains = [pool.submit(contextvars.copy_context().run, _em_once, arr, log_i, variant, cfg, init)
+        chains = [pool.submit(contextvars.copy_context().run, _em_once, arr, log_i, cfg, init)
                   for init in inits]
     for k, chain in enumerate(chains):
         try:

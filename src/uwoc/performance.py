@@ -118,7 +118,8 @@ class Modulation:
     """Modulation scheme, expanded to the (delta, p, {q_k}, n) BER kernel tuple.
 
     OOK is only defined for IM/DD; BPSK and the M-ary schemes for heterodyne
-    detection.  M must be a power of two, at least 4, for M-PSK and M-QAM.
+    detection.  M must be a power of two, at least 4, for M-PSK and M-QAM,
+    and for M-QAM a square: the unified BER expression is for square M-QAM.
     """
 
     scheme: str
@@ -130,6 +131,8 @@ class Modulation:
         if self.scheme in ("mpsk", "mqam"):
             if self.m is None or self.m < 4 or not _is_pow2(self.m):
                 raise ValueError(f"{self.scheme} requires order M = power of two >= 4")
+            if self.scheme == "mqam" and math.isqrt(self.m) ** 2 != self.m:
+                raise ValueError(f"mqam requires a square order M, got {self.m}")
         elif self.m is not None:
             raise ValueError(f"{self.scheme} takes no order")
 
@@ -180,7 +183,7 @@ def modulation_params(modulation: Modulation):
         q = tuple(math.sin((2 * k - 1) * math.pi / m) ** 2 for k in range(1, n + 1))
         return delta, 0.5, q, n
     # mqam
-    n = int(round(math.sqrt(m))) // 2
+    n = math.isqrt(m) // 2
     delta = (4.0 / math.log2(m)) * (1.0 - 1.0 / math.sqrt(m))
     q = tuple(3.0 * (2 * k - 1) ** 2 / (2.0 * (m - 1)) for k in range(1, n + 1))
     return delta, 0.5, q, n
@@ -432,7 +435,7 @@ def _level_point(ell, t_star, target, step, direction):
 
 
 def _log_integrand(a, s0, kappa, log_h):
-    """L(t) + ln Gamma(a) of :func:`_lobe_expectation` and its first two derivatives."""
+    """L(t) + ln Gamma(a) of one lobe of :func:`_lobe_expectations` and its first two derivatives."""
 
     def ell(t):
         u = math.exp(t) if t < 709.0 else math.inf
@@ -501,11 +504,6 @@ def _lobe_expectations(lobes, kernel):
             v, err = exc.estimate, exc.error_bound
         out.append((scale, v, err + tail))
     return out
-
-
-def _lobe_expectation(a, s0, kappa, kernel):
-    """The one-lobe case of :func:`_lobe_expectations`, at weight 1."""
-    return _lobe_expectations([(0.0, a, s0, kappa)], kernel)[0]
 
 
 def _certified_expectation(link: LinkBudget, terms, kernel):

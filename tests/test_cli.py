@@ -203,6 +203,15 @@ class TestSynth:
         assert run(["synth", "--params", "1,2,3", "--n", "10",
                     "--output", str(tmp_path / "x.txt")]) == 2
 
+    def test_explognormal_report(self, tmp_path):
+        # synth draws from any variant, so a report that perf refuses is accepted here
+        rep, out = tmp_path / "ln.json", tmp_path / "x.txt"
+        rep.write_text(json.dumps(condition("2.4lpm-0.05C").expln.to_dict()))
+        assert run(["synth", "--report", str(rep), "--n", "50", "--seed", "1",
+                    "--output", str(out)]) == 0
+        values = read_samples(str(out))
+        assert values.size == 50 and np.all(values > 0.0)
+
     def test_header_and_positive(self, sample_file):
         lines = sample_file.read_text().splitlines()
         assert lines[0] == "irradiance"
@@ -346,19 +355,26 @@ class TestPerf:
         asym = [float(r[1]) for r in rows if r[2] == "asymptotic"]
         assert len(asym) == 4 and math.inf in asym
 
-    def test_modulation_detection_conflict(self):
-        assert run(["perf", "ber", "--params", SALTY165, "--detection", "imdd",
-                    "--modulation", "mqam:16", "--snr-db", "0:10:5"]) == 2
+    def test_modulation_detection_conflict(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        for command in ("perf", "simulate"):
+            assert run([command, "ber", "--params", SALTY165, "--detection", "imdd",
+                        "--modulation", "mqam:16", "--snr-db", "0:10:5", "--output", str(out)]) == 2
+            assert "16-QAM is defined for heterodyne detection only" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_ber_needs_modulation(self):
         assert run(["perf", "ber", "--params", SALTY165, "--detection", "imdd",
                     "--snr-db", "0:10:5"]) == 2
 
-    def test_explognormal_report_rejected(self, tmp_path):
-        rep = tmp_path / "ln.json"
+    def test_explognormal_report_rejected(self, tmp_path, capsys):
+        rep, out = tmp_path / "ln.json", tmp_path / "curve.csv"
         rep.write_text(json.dumps(condition("2.4lpm-0.05C").expln.to_dict()))
-        assert run(["perf", "outage", "--report", str(rep), "--detection", "imdd",
-                    "--snr-db", "0:10:5"]) == 2
+        for command in ("perf", "simulate"):
+            assert run([command, "outage", "--report", str(rep), "--detection", "imdd",
+                        "--snr-db", "0:10:5", "--output", str(out)]) == 2
+            assert "EGG/EG fading models only" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_bad_grid(self):
         assert run(["perf", "outage", "--params", ROW1, "--detection", "imdd",

@@ -400,12 +400,14 @@ class TestFit:
     def test_user_supplied_init(self):
         rng = np.random.default_rng(77)
         data = ROW1.sample(rng, 20_000)
-        cfg = EmConfig(
-            epsilon=1e-3, max_iters=100, restarts=1,
-            init_strategy="user_supplied", init_params=ROW1,
-        )
+        cfg = EmConfig(epsilon=1e-3, max_iters=100, restarts=1, init_params=ROW1)
         report = fit(data, "egg", cfg)
         assert report.converged
+
+    def test_init_params_is_the_first_point(self):
+        data = ROW1.sample(np.random.default_rng(78), 5000)
+        report = fit(data, "egg", EmConfig(init_params=ROW1, restarts=1, max_iters=1))
+        assert report.loglik_trace[0] == log_likelihood(data, ROW1)
 
     def test_responsibility_summary_bounds(self):
         rng = np.random.default_rng(19)
@@ -419,8 +421,8 @@ class TestFit:
         accepted = []
         update = em_module._second_lobe_update
 
-        def dropping_update(samples, log_i, resp, params, variant):
-            new = update(samples, log_i, resp, params, variant)
+        def dropping_update(samples, log_i, resp, params):
+            new = update(samples, log_i, resp, params)
             # maps 1-2 are plain, 3 maps the extrapolated point (kept or not), 4 is
             # plain from the point kept; map 5, plain from map 4, lowers the likelihood
             if len(accepted) == 4:
@@ -534,7 +536,7 @@ class TestFit:
         for k in range(cfg.restarts):
             rng = np.random.default_rng(np.random.SeedSequence(cfg.seed, spawn_key=(k,)))
             init = base if k == 0 else em_module._perturb(base, rng)
-            runs.append(em_module._em_once(data, np.log(data), "egg", cfg, init))
+            runs.append(em_module._em_once(data, np.log(data), cfg, init))
         best = 0  # a later restart is kept only when higher by more than the slack
         for k in range(1, cfg.restarts):
             if runs[k][2][-1] > runs[best][2][-1] + em_module.ASCENT_SLACK:

@@ -81,7 +81,7 @@ class TestModulationParams:
         assert Modulation.parse("mqam:64").m == 64
         assert Modulation.parse("OOK").scheme == "ook"
 
-    @pytest.mark.parametrize("bad", ["mpsk:3", "mqam:2", "mpsk:12"])
+    @pytest.mark.parametrize("bad", ["mpsk:3", "mqam:2", "mpsk:12", "mqam:8", "mqam:32"])
     def test_invalid_orders(self, bad):
         with pytest.raises(ValueError):
             Modulation.parse(bad)
@@ -531,7 +531,7 @@ class TestLobeIntegrator:
         for r in (1, 2):
             for snr_db in (-10.0, 20.0, 50.0, 80.0):
                 s0 = math.log(db(snr_db)) + (math.log(0.25) if name == "ber" else 0.0)
-                scale, value, bound = performance._lobe_expectation(a, s0, r / c, kernel)
+                scale, value, bound = performance._lobe_expectations([(0.0, a, s0, r / c)], kernel)[0]
                 peak, want = _lobe_oracle(a, s0, r / c, kernel[0])
                 got = value * math.exp(scale + sp.gammaln(a) - peak)
                 assert got == pytest.approx(want, rel=1e-8), (r, snr_db)
@@ -553,11 +553,12 @@ class TestLobeIntegrator:
 
 def _per_lobe_sum(link, terms, kernel):
     """sum_k w_k E[h(s_k + r ln I)] as the log-space sum of one
-    ``_lobe_expectation`` per term and lobe."""
+    ``_lobe_expectations`` call per term and lobe."""
     parts = []
     for log_w, s in terms:
         for log_weight, a, log_b, c in performance._lobes(link.params):
-            scale, value, _ = performance._lobe_expectation(a, s + link.r * log_b, link.r / c, kernel)
+            lobe = (0.0, a, s + link.r * log_b, link.r / c)
+            scale, value, _ = performance._lobe_expectations([lobe], kernel)[0]
             parts.append((log_w + log_weight + scale, value))
     top = max(scale for scale, _ in parts)
     return math.exp(top) * sum(math.exp(scale - top) * value for scale, value in parts)

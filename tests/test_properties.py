@@ -2,9 +2,10 @@
 
 The ranges hold every preset row with margin: exponential weight 0, 1e-23 to
 0.95, or 1; exponential scale 0.1 to 1.1; Generalized Gamma shape a from
-7.5e-3 to 4e3 and power shape c from 0.5 to 217, with the scale b that gives
+7.5e-3 to 5e3 and power shape c from 0.5 to 217, with the scale b that gives
 the GG lobe mean 1, as the normalised fits have; average SNR -10 to 80 dB;
-both detection modes.  The CDF property also draws EG models (Gamma lobe of
+both detection modes; OOK, BPSK, M-PSK for M = 4 to 64 and square M-QAM
+for M = 4 to 256.  The CDF property also draws EG models (Gamma lobe of
 mean 1) and Exp-Lognormal models (log-mean -3 to 3, log-variance 1e-4 to 4).
 """
 
@@ -20,13 +21,16 @@ from uwoc.distributions import EggParams, EgParams, ExpLognormalParams
 from uwoc.errors import ConvergenceError
 from uwoc.performance import (
     CAPACITY_TAU,
+    CERTIFY_RTOL,
     HETERODYNE,
     IMDD,
     LinkBudget,
     Modulation,
     avg_ber,
     avg_ber_asymptotic,
+    avg_ber_foxh,
     capacity_asymptotic,
+    capacity_foxh,
     ergodic_capacity,
     modulation_params,
     outage,
@@ -51,7 +55,7 @@ def _egg(omega, lam, a, c):
 
 WEIGHTS = st.one_of(st.sampled_from([0.0, 1.0]), _log_uniform(1e-23, 0.95))
 SCALES = _log_uniform(0.1, 1.1)
-SHAPES = _log_uniform(7.5e-3, 4e3)
+SHAPES = _log_uniform(7.5e-3, 5e3)
 
 
 @st.composite
@@ -73,11 +77,11 @@ def explognormal_models(draw):
     return ExpLognormalParams(omega, lam, draw(st.floats(-3.0, 3.0)), draw(_log_uniform(1e-4, 4.0)))
 
 
-RECEIVERS = st.sampled_from([
-    (IMDD, Modulation.ook()),
-    (HETERODYNE, Modulation.bpsk()),
-    (HETERODYNE, Modulation.mqam(16)),
-])
+RECEIVERS = st.sampled_from(
+    [(IMDD, Modulation.ook()), (HETERODYNE, Modulation.bpsk())]
+    + [(HETERODYNE, Modulation.mpsk(m)) for m in (4, 8, 16, 32, 64)]
+    + [(HETERODYNE, Modulation.mqam(m)) for m in (4, 16, 64, 256)]
+)
 
 
 @PROFILE
@@ -95,15 +99,21 @@ def test_cdf_is_a_distribution_function(model):
 @PROFILE
 @given(st.one_of(models(), eg_models()), st.floats(-10.0, 80.0), RECEIVERS)
 def test_metrics_are_certified_or_refused(model, snr_db, receiver):
-    # a finite value >= 0 or ConvergenceError; never nan or another exception
+    # a finite value >= 0 that the Fox H closed form confirms, or
+    # ConvergenceError; never nan or another exception
     mode, modulation = receiver
     link = LinkBudget(model, mode, 10.0 ** (snr_db / 10.0))
-    for metric in (outage, lambda l: avg_ber(l, modulation), ergodic_capacity):
+    for metric, oracle in [(outage, None),
+                           (lambda l: avg_ber(l, modulation), lambda l: avg_ber_foxh(l, modulation)),
+                           (ergodic_capacity, capacity_foxh)]:
         try:
             value = metric(link)
         except ConvergenceError:
             continue
         assert isinstance(value, float) and math.isfinite(value) and value >= 0.0
+        if oracle is not None:
+            want = oracle(link)
+            assert value == want == 0.0 or abs(value - want) <= CERTIFY_RTOL * want, (value, want)
     # the asymptotes are finite or inf
     for value in (snr_cdf_asymptotic(link, link.gamma_th), avg_ber_asymptotic(link, modulation)):
         assert value >= 0.0 and not math.isnan(value)
@@ -129,6 +139,6 @@ def test_lobe_searches_are_short(model, snr_db, receiver):
                 calls.append(s)
                 return log_h(s)
 
-            performance._lobe_expectation(a, shift + link.r * log_b, link.r / c,
-                                          (counted, log_h_array))
+            performance._lobe_expectations([(0.0, a, shift + link.r * log_b, link.r / c)],
+                                           (counted, log_h_array))
             assert len(calls) <= 40, (a, c, shift)
