@@ -63,9 +63,10 @@ _NEWTON_ITERS = 100
 _DQ_TOL = 1e-13
 # largest |ln b| that m_step_gg returns
 _LOG_B_MAX = 700.0
-# Gamma shape equation: relative step at which a counts as solved, iteration cap
-_SHAPE_RTOL = 1e-15
-_SHAPE_ITERS = 200
+# Gamma shape equation: the spreads it is solved for (a from about 1e-100 to
+# 5e299), and the shape from which ln a - psi(a) is taken from its series
+_SPREAD_LIMITS = (1e-300, 1e100)
+_SERIES_SHAPE = 20.0
 
 
 @dataclass(frozen=True)
@@ -170,10 +171,7 @@ def m_step_exp(samples, responsibilities):
 
 def _exp_scale(samples, resp):
     """m_step_exp on samples the caller has already validated."""
-    mass = resp.sum()
-    if mass <= _MASS_EPS * samples.size:
-        raise DegenerateComponentError("exponential component has no responsibility mass")
-    return float(_dot(resp, samples) / mass)
+    return _dot(resp, samples) / _mass(resp, "exponential")
 
 
 def _dot(x, y):
@@ -189,13 +187,13 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
     weighted Gamma ML gives a(c) and theta(c), and the profile Q(c) with its
     first two derivatives follows from S_c = sum w I^c, T_c = sum w I^c ln I
     and U_c = sum w I^c ln^2 I: one pass over the data per c.  A safeguarded
-    Newton ascent in ln c starts at ``c_hint``; without a hint, or when no
-    step from it ascends, it starts from the best point of a coarse ln c scan
-    over the admissible range instead.  Where the maximum lies at a c whose
-    scale b would over- or underflow, the best point evaluated with a finite
-    b is returned.  Bad samples or responsibilities raise DataError, a bad
-    hint ValueError; passing ``log_i``, ln I of samples the caller has already
-    checked, skips every check and the logarithm.
+    Newton ascent in ln c starts at ``c_hint`` (clamped to the admissible
+    range), or without a usable hint at the best point of a coarse ln c scan
+    over that range, and never ends below its start.  Where the maximum lies
+    at a c whose scale b would over- or underflow, the best point evaluated
+    with a finite b is returned.  Bad samples or responsibilities raise
+    DataError, a bad hint ValueError; passing ``log_i``, ln I of samples the
+    caller has already checked, skips every check and the logarithm.
     """
     if log_i is None:
         arr = validate_samples(samples)
@@ -203,10 +201,7 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
         if c_hint is not None:
             check_positive(c_hint=c_hint)
         log_i = np.log(arr)
-    weights = 1.0 - np.asarray(responsibilities, dtype=float)
-    w_total = float(weights.sum())
-    if w_total <= _MASS_EPS * log_i.size:
-        raise DegenerateComponentError("second component has no responsibility mass")
+    weights, w_total = _second_weights(responsibilities)
     # centred on lbar, the sums give R_c - lbar and ln(S_c/W) - c lbar directly;
     # arrays are updated in place, as fresh 100k-sample buffers cost page faults
     lbar = _dot(weights, log_i) / w_total
@@ -234,21 +229,16 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
             return None
         a = _solve_gamma_shape(spread)
         q = u - lbar - a * spread + a * math.log(a) - a - sp.gammaln(a)
-        da_dc = mean / (1.0 / a - _trigamma(a))
+        da_dc = a * mean / _log_minus_digamma(a)[1]  # the slope is in ln a
         dq = 1.0 - a * c * mean
         d2q = -a * c * mean - c * c * (mean * da_dc + a * var)
         visited.append(_ProfilePoint(u, q, dq, d2q, a, lbar + (spread - math.log(a)) / c))
         return visited[-1]
 
-    best, ascended = None, False
+    start = None
     if c_hint is not None:
         start = point(min(max(math.log(c_hint), _LOG_C_LIMITS[0]), _LOG_C_LIMITS[1]))
-        if start is not None:
-            best, ascended = _newton_ascent(point, start)
-    if not ascended:
-        cold = _newton_ascent(point, _scan(point))[0]
-        if best is None or cold.q > best.q:
-            best = cold
+    best = _newton_ascent(point, _scan(point) if start is None else start)
     if abs(best.log_b) > _LOG_B_MAX:
         # b = theta^(1/c) would over- or underflow: best point seen where it does not
         best = max((p for p in visited if abs(p.log_b) <= _LOG_B_MAX), key=lambda p: p.q, default=None)
@@ -276,14 +266,14 @@ def _scan(point):
 
 
 def _newton_ascent(point, current):
-    """Newton ascent of the profile in u = ln c from ``current``.
+    """Newton ascent of the profile in u = ln c from ``current``; the last point accepted.
 
     A step is the Newton step where the profile is concave and a full-length
     gradient step elsewhere, clamped to _MAX_LOG_STEP and to the admissible
     range, and halved until it ascends.  Short Newton steps in a concave
     region are taken as they are: their gain lies below the rounding of Q.
-    Returns (point, ascended); ascended is False when a step that should have
-    ascended found no ascent before it shrank to nothing.
+    The ascent stops where the step or the slope counts as zero, where a step
+    halves to nothing without ascending, or after _NEWTON_ITERS steps.
     """
     for _ in range(_NEWTON_ITERS):
         if current.d2q < 0.0:
@@ -293,7 +283,7 @@ def _newton_ascent(point, current):
         step = min(max(step, -_MAX_LOG_STEP), _MAX_LOG_STEP)
         step = min(max(current.u + step, _LOG_C_LIMITS[0]), _LOG_C_LIMITS[1]) - current.u
         if abs(step) <= _LOG_C_TOL or abs(current.dq) <= _DQ_TOL * (1.0 + current.a):
-            return current, True
+            return current
         while True:
             trial = point(current.u + step)
             if trial is not None and (
@@ -303,77 +293,86 @@ def _newton_ascent(point, current):
                 break
             step *= 0.5
             if abs(step) <= _LOG_C_TOL:
-                return current, False
-    return current, True
+                return current
+    return current
 
 
-def _trigamma(a):
-    """psi'(a) = zeta(2, a), by the Hurwitz zeta ufunc that ``scipy.special.zeta`` wraps."""
-    return sp._zeta(2.0, a)
+# Bernoulli numbers B_2k / (2k) and B_2k, k = 6 down to 1
+_BERNOULLI = ((-691 / 32760, -691 / 2730), (1 / 132, 5 / 66), (-1 / 240, -1 / 30),
+              (1 / 252, 1 / 42), (-1 / 120, -1 / 30), (1 / 12, 1 / 6))
+
+
+def _log_minus_digamma(a):
+    """ln a - psi(a) and its slope in ln a, 1 - a psi'(a).
+
+    At a >= _SERIES_SHAPE both come from the asymptotic series
+    ln a - psi(a) = 1/(2a) + sum_k B_2k / (2k a^2k), k = 1..6, whose terms do
+    not cancel as ln a and psi(a) do; below it from the digamma and Hurwitz
+    zeta ufuncs.  The slope is taken in ln a because 1/a - psi'(a) itself
+    underflows beyond a ~ 1e154.
+    """
+    if a < _SERIES_SHAPE:
+        return math.log(a) - sp.psi(a), 1.0 - a * sp._zeta(2.0, a)
+    r = 1.0 / a
+    t = r * r
+    value = slope = 0.0
+    for term, bernoulli in _BERNOULLI:
+        value = (value + term) * t
+        slope = (slope + bernoulli) * t
+    return 0.5 * r + value, -0.5 * r - slope
 
 
 def _solve_gamma_shape(spread):
-    """Shape a with ln a - digamma(a) = spread (> 0), the weighted Gamma ML equation.
+    """Shape a with ln a - psi(a) = spread, the weighted Gamma ML equation.
 
-    ln a - psi(a) decreases from +inf to 0 and is convex.  From Minka's
-    closed-form start a bracket is grown until it holds the root; Newton steps
-    then shrink it, with a bisection in ln a wherever a step leaves the
-    bracket or fails to halve the step before it.  Near the root of a large a
-    rounding makes ln a - psi(a) a staircase, which only the bisection pins.
+    Newton's method on h(a) = 1 / (ln a - psi(a)) = 1 / spread from Minka's
+    closed-form start ("Estimating a Gamma distribution", 2002).  h is
+    increasing and convex, so every iterate after the first lies right of the
+    root and falls to it; the solve stops at the first step that does not
+    lower a.  A spread outside _SPREAD_LIMITS raises DegenerateComponentError.
     """
-    if spread <= 0.0:
-        raise DegenerateComponentError("zero spread in the Gamma shape equation")
-    if spread < 1e-12:
-        return 0.5 / spread  # ln a - psi(a) = 1/(2a) + O(1/a^2)
-    a = (3.0 - spread + math.sqrt((spread - 3.0) ** 2 + 24.0 * spread)) / (12.0 * spread)
-    a = min(max(a, 1e-12), 1e14)
-    lo, hi = a, a
-    for _ in range(200):
-        if math.log(lo) - sp.psi(lo) - spread >= 0.0:
-            break
-        lo /= 4.0
-    for _ in range(200):
-        if math.log(hi) - sp.psi(hi) - spread <= 0.0:
-            break
-        hi *= 4.0
-    last_step = math.inf
-    for _ in range(_SHAPE_ITERS):
-        g = math.log(a) - sp.psi(a) - spread
-        if g == 0.0:
-            return a
-        if g > 0.0:
-            lo = a
-        else:
-            hi = a
-        new = a - g / (1.0 / a - _trigamma(a))
-        if not lo < new < hi or abs(new - a) > 0.5 * last_step:
-            new = math.sqrt(lo * hi)
-        if abs(new - a) <= _SHAPE_RTOL * a:
-            return new
-        last_step = abs(new - a)
+    if not _SPREAD_LIMITS[0] <= spread <= _SPREAD_LIMITS[1]:
+        raise DegenerateComponentError(f"Gamma shape equation: spread {float(spread):.3g} out of range")
+    root = math.sqrt((spread - 3.0) ** 2 + 24.0 * spread)
+    # Minka's start, in the form free of cancellation on each side of spread = 3
+    a = (3.0 - spread + root) / (12.0 * spread) if spread < 3.0 else 2.0 / (root + spread - 3.0)
+
+    def newton(a):  # a - (h(a) - 1/spread) / h'(a), h' = -slope / (a value^2)
+        value, slope = _log_minus_digamma(a)
+        return a + a * value * (value / spread - 1.0) / -slope
+
+    a = newton(a)
+    while (new := newton(a)) < a:
         a = new
     return a
 
 
+def _mass(weights, lobe):
+    """Sum of a lobe's weights, its responsibility mass; DegenerateComponentError if it has none."""
+    total = float(weights.sum())
+    if total <= _MASS_EPS * weights.size:
+        raise DegenerateComponentError(f"{lobe} component has no responsibility mass")
+    return total
+
+
+def _second_weights(resp):
+    """Weights 1 - gamma of the second lobe, and their sum."""
+    weights = 1.0 - np.asarray(resp, dtype=float)
+    return weights, _mass(weights, "second")
+
+
 def _m_step_gamma(samples, log_i, responsibilities):
     """Weighted Gamma ML update (shape via the digamma equation, scale closed form)."""
-    weights = 1.0 - responsibilities
-    w_total = float(weights.sum())
-    if w_total <= _MASS_EPS * samples.size:
-        raise DegenerateComponentError("second component has no responsibility mass")
+    weights, w_total = _second_weights(responsibilities)
     mean = _dot(weights, samples) / w_total
     mean_log = _dot(weights, log_i) / w_total
-    spread = math.log(mean) - mean_log
-    alpha = float(_solve_gamma_shape(spread))
+    alpha = float(_solve_gamma_shape(math.log(mean) - mean_log))
     return alpha, mean / alpha
 
 
 def _m_step_lognormal(log_i, responsibilities):
     """Weighted ML update of the Lognormal lobe: mean/variance of ln I."""
-    weights = 1.0 - responsibilities
-    w_total = float(weights.sum())
-    if w_total <= _MASS_EPS * log_i.size:
-        raise DegenerateComponentError("second component has no responsibility mass")
+    weights, w_total = _second_weights(responsibilities)
     mu = _dot(weights, log_i) / w_total
     sigma2 = _dot(weights, (log_i - mu) ** 2) / w_total
     if sigma2 <= 0.0:
@@ -495,8 +494,7 @@ def _gg_update(samples, log_i, resp, params: EggParams):
     expected log-likelihood directly guards the monotone trace against
     rounding in the closed-form profile.
     """
-    weights = 1.0 - resp
-    w_total = float(weights.sum())
+    weights, w_total = _second_weights(resp)
     w_log_i = _dot(weights, log_i)
     work = np.empty_like(log_i)
 

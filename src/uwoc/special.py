@@ -70,19 +70,29 @@ class _OnFirstUse(types.ModuleType):
 
 
 def _import_ufuncs():
-    """The ufuncs module; a later ``import scipy.special`` runs the real ``__init__`` on it."""
+    """The ufuncs module; a later ``import scipy.special`` runs the real ``__init__`` on it.
+
+    While the ufuncs load, a bare package marked as initializing stands in for
+    ``scipy.special`` under that module's import lock, so an import of it on
+    another thread waits, as for any module being initialized, and then finds
+    no stand-in and loads the real package.
+    """
     name = "scipy.special"
-    if name not in sys.modules:  # a bare package stands in while the ufuncs load
-        stub = types.ModuleType(name)
-        try:
-            stub.__path__ = importlib.util.find_spec(name).submodule_search_locations
-            sys.modules[name] = stub
-            return importlib.import_module(name + "._ufuncs")
-        except (ImportError, AttributeError):  # moved since SciPy 1.17: the ordinary import
-            pass
-        finally:
-            if sys.modules.get(name) is stub:
-                del sys.modules[name]
+    try:
+        if name not in sys.modules:
+            spec = importlib.util.find_spec(name)
+            with importlib._bootstrap._ModuleLockManager(name):
+                if name not in sys.modules:
+                    stub = importlib.util.module_from_spec(spec)
+                    spec._initializing = True
+                    sys.modules[name] = stub
+                    try:
+                        return importlib.import_module(name + "._ufuncs")
+                    finally:  # before the lock is released
+                        if sys.modules.get(name) is stub:
+                            del sys.modules[name]
+    except (ImportError, AttributeError):  # moved in a later SciPy or Python: the ordinary import
+        pass
     return importlib.import_module(name + "._ufuncs")
 
 

@@ -271,3 +271,39 @@ class TestScipySpecialOnFirstUse:
             import scipy.special
             assert len(got) == 4 and all(f is scipy.special.gammaln for f in got)
         """)
+
+    def test_import_on_another_thread_during_the_first_read_gets_the_package(self):
+        # the ufuncs' import is held until a second thread has started
+        # ``import scipy.special``; that thread must not get the stand-in
+        _fresh("""
+            import sys, threading
+            from uwoc.special import sp
+            held, release, imported, got = (threading.Event(), threading.Event(),
+                                            threading.Event(), [])
+
+            class Hold:
+                def find_spec(self, name, path=None, target=None):
+                    if name == "scipy.special._ufuncs":
+                        held.set()
+                        release.wait(60)
+                    return None
+
+            def second():
+                import scipy.special
+                got.append(scipy.special)
+                imported.set()
+
+            sys.meta_path.insert(0, Hold())
+            first = threading.Thread(target=lambda: sp.gammaln)
+            first.start()
+            assert held.wait(60)
+            importer = threading.Thread(target=second)
+            importer.start()
+            imported.wait(1)  # the stand-in, if handed out, is handed out by now
+            release.set()
+            for thread in (first, importer):
+                thread.join(60)
+                assert not thread.is_alive()
+            import scipy.special
+            assert got == [scipy.special] and hasattr(got[0], "logsumexp")
+        """)
