@@ -227,9 +227,9 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
         spread = m + math.log(s) - log_w_total  # ln(S_c / W) - c lbar
         if not spread > 0.0:
             return None
-        a = _solve_gamma_shape(spread)
+        a, slope = _solve_gamma_shape(spread)
         q = u - lbar - a * spread + a * math.log(a) - a - sp.gammaln(a)
-        da_dc = a * mean / _log_minus_digamma(a)[1]  # the slope is in ln a
+        da_dc = a * mean / slope  # the slope is in ln a
         dq = 1.0 - a * c * mean
         d2q = -a * c * mean - c * c * (mean * da_dc + a * var)
         visited.append(_ProfilePoint(u, q, dq, d2q, a, lbar + (spread - math.log(a)) / c))
@@ -323,13 +323,14 @@ def _log_minus_digamma(a):
 
 
 def _solve_gamma_shape(spread):
-    """Shape a with ln a - psi(a) = spread, the weighted Gamma ML equation.
+    """Shape a with ln a - psi(a) = spread, the weighted Gamma ML equation, as (a, slope).
 
     Newton's method on h(a) = 1 / (ln a - psi(a)) = 1 / spread from Minka's
     closed-form start ("Estimating a Gamma distribution", 2002).  h is
     increasing and convex, so every iterate after the first lies right of the
     root and falls to it; the solve stops at the first step that does not
-    lower a.  A spread outside _SPREAD_LIMITS raises DegenerateComponentError.
+    lower a, and the slope in ln a of ln a - psi(a) at a comes from that step.
+    A spread outside _SPREAD_LIMITS raises DegenerateComponentError.
     """
     if not _SPREAD_LIMITS[0] <= spread <= _SPREAD_LIMITS[1]:
         raise DegenerateComponentError(f"Gamma shape equation: spread {float(spread):.3g} out of range")
@@ -337,14 +338,14 @@ def _solve_gamma_shape(spread):
     # Minka's start, in the form free of cancellation on each side of spread = 3
     a = (3.0 - spread + root) / (12.0 * spread) if spread < 3.0 else 2.0 / (root + spread - 3.0)
 
-    def newton(a):  # a - (h(a) - 1/spread) / h'(a), h' = -slope / (a value^2)
+    def newton(a):  # a - (h(a) - 1/spread) / h'(a), h' = -slope / (a value^2); the slope at a
         value, slope = _log_minus_digamma(a)
-        return a + a * value * (value / spread - 1.0) / -slope
+        return a + a * value * (value / spread - 1.0) / -slope, slope
 
-    a = newton(a)
-    while (new := newton(a)) < a:
-        a = new
-    return a
+    a = newton(a)[0]
+    while (new := newton(a))[0] < a:
+        a = new[0]
+    return a, new[1]
 
 
 def _mass(weights, lobe):
@@ -366,7 +367,7 @@ def _m_step_gamma(samples, log_i, responsibilities):
     weights, w_total = _second_weights(responsibilities)
     mean = _dot(weights, samples) / w_total
     mean_log = _dot(weights, log_i) / w_total
-    alpha = float(_solve_gamma_shape(math.log(mean) - mean_log))
+    alpha = float(_solve_gamma_shape(math.log(mean) - mean_log)[0])
     return alpha, mean / alpha
 
 
@@ -494,7 +495,8 @@ def _gg_update(samples, log_i, resp, params: EggParams):
     expected log-likelihood directly guards the monotone trace against
     rounding in the closed-form profile.
     """
-    weights, w_total = _second_weights(resp)
+    weights = 1.0 - resp  # m_step_gg checks their mass
+    w_total = float(weights.sum())
     w_log_i = _dot(weights, log_i)
     work = np.empty_like(log_i)
 
@@ -549,9 +551,10 @@ def _em_once(samples, log_i, cfg: EmConfig, params):
     log-likelihood is finite and no lower.  An extrapolated point with a
     non-finite log-likelihood is rejected unmapped; a lobe degenerate there is
     frozen by the map, as anywhere else.  The run converges when one map
-    from an accepted point moves the parameter vector by at most epsilon, and
-    stops unconverged at the last accepted point when such a map lowers the
-    likelihood.  Returns the parameters, their responsibilities, the
+    from an accepted point moves the parameter vector by at most epsilon,
+    and ends at that map's point unless it is lower.  A map that lowers the
+    likelihood by more than ASCENT_SLACK stops the run unconverged at the
+    last accepted point.  Returns the parameters, their responsibilities, the
     log-likelihood of each accepted point and the run's counts, in which
     ``iterations`` counts EM maps.
     """
@@ -568,10 +571,12 @@ def _em_once(samples, log_i, cfg: EmConfig, params):
             # should not happen with per-component acceptance; stop cleanly,
             # keeping the last accepted parameters, and report no convergence
             return params, resp, True
-        run["iterations"] += 1
-        trace.append(ll)
         moved = float(np.max(np.abs(_param_vector(new) - _param_vector(params))))
         run["converged"] = moved <= cfg.epsilon
+        if run["converged"] and ll < trace[-1]:
+            return params, resp, True  # a drop by rounding: end at the higher point
+        run["iterations"] += 1
+        trace.append(ll)
         return new, new_resp, run["converged"]
 
     while run["iterations"] < cfg.max_iters:
@@ -620,11 +625,8 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     arr = validate_samples(samples)
     log_i = np.log(arr)  # shared by every E- and M-step of every restart
     if arr.size < 100:
-        warnings.warn(
-            f"only {arr.size} samples; mixture estimates will be unstable",
-            UserWarning,
-            stacklevel=2,
-        )
+        warnings.warn(f"only {arr.size} samples; mixture estimates will be unstable",
+                      UserWarning, stacklevel=2)
 
     from concurrent.futures import ThreadPoolExecutor  # here, not at start-up: only a fit needs it
     base_init = _initial_params(arr, variant, cfg)
@@ -658,11 +660,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
             loglik_trace=trace,
             iterations=run["iterations"],
             converged=run["converged"],
-            responsibilities_summary={
-                "mean": float(resp.mean()),
-                "min": float(resp.min()),
-                "max": float(resp.max()),
-            },
+            responsibilities_summary={k: float(getattr(resp, k)()) for k in ("mean", "min", "max")},
             scintillation_index=si,
             restart_index=k,
         )

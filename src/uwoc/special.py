@@ -83,6 +83,10 @@ def _import_ufuncs():
             spec = importlib.util.find_spec(name)
             with importlib._bootstrap._ModuleLockManager(name):
                 if name not in sys.modules:
+                    # CPython's _find_and_load takes a module's lock, and so waits,
+                    # when the module it finds in sys.modules has __spec__._initializing
+                    # set; _load_unlocked sets the flag before it inserts the module,
+                    # and so does this.  A loader-race test in tests/test_special.py guards it.
                     stub = importlib.util.module_from_spec(spec)
                     spec._initializing = True
                     sys.modules[name] = stub
@@ -91,8 +95,8 @@ def _import_ufuncs():
                     finally:  # before the lock is released
                         if sys.modules.get(name) is stub:
                             del sys.modules[name]
-    except (ImportError, AttributeError):  # moved in a later SciPy or Python: the ordinary import
-        pass
+    except (ImportError, AttributeError, RuntimeError):
+        pass  # moved in a later SciPy or Python, or a deadlock the lock detected: the ordinary import
     return importlib.import_module(name + "._ufuncs")
 
 

@@ -273,20 +273,29 @@ class TestScipySpecialOnFirstUse:
         """)
 
     def test_import_on_another_thread_during_the_first_read_gets_the_package(self):
-        # the ufuncs' import is held until a second thread has started
-        # ``import scipy.special``; that thread must not get the stand-in
+        # the ufuncs' load is held until a second thread's ``import scipy.special``
+        # waits on that module's import lock or has returned; it must not get the stand-in
         _fresh("""
-            import sys, threading
+            import importlib.abc, importlib.machinery, sys, threading, time
             from uwoc.special import sp
             held, release, imported, got = (threading.Event(), threading.Event(),
                                             threading.Event(), [])
 
-            class Hold:
+            class Hold(importlib.abc.Loader):  # finds the ufuncs; loads them on ``release``
                 def find_spec(self, name, path=None, target=None):
-                    if name == "scipy.special._ufuncs":
-                        held.set()
-                        release.wait(60)
-                    return None
+                    if name != "scipy.special._ufuncs":
+                        return None
+                    spec = importlib.machinery.PathFinder.find_spec(name, path)
+                    self.loader, spec.loader = spec.loader, self
+                    return spec
+
+                def create_module(self, spec):  # outside the global import lock
+                    held.set()
+                    release.wait(60)
+                    return self.loader.create_module(spec)
+
+                def exec_module(self, module):
+                    self.loader.exec_module(module)
 
             def second():
                 import scipy.special
@@ -299,7 +308,15 @@ class TestScipySpecialOnFirstUse:
             assert held.wait(60)
             importer = threading.Thread(target=second)
             importer.start()
-            imported.wait(1)  # the stand-in, if handed out, is handed out by now
+
+            def waiting():  # the importer waits on the scipy.special import lock
+                ref = importlib._bootstrap._module_locks.get("scipy.special")
+                lock = ref and ref()
+                return bool(lock and lock.waiters)
+
+            deadline = time.monotonic() + 60
+            while not (imported.is_set() or waiting()) and time.monotonic() < deadline:
+                time.sleep(0.001)
             release.set()
             for thread in (first, importer):
                 thread.join(60)
