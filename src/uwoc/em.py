@@ -625,8 +625,11 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     arr = validate_samples(samples)
     log_i = np.log(arr)  # shared by every E- and M-step of every restart
     if arr.size < 100:
-        warnings.warn(f"only {arr.size} samples; mixture estimates will be unstable",
-                      UserWarning, stacklevel=2)
+        warnings.warn(
+            f"only {arr.size} samples; mixture estimates will be unstable",
+            UserWarning,
+            stacklevel=2,
+        )
 
     from concurrent.futures import ThreadPoolExecutor  # here, not at start-up: only a fit needs it
     base_init = _initial_params(arr, variant, cfg)
@@ -660,7 +663,11 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
             loglik_trace=trace,
             iterations=run["iterations"],
             converged=run["converged"],
-            responsibilities_summary={k: float(getattr(resp, k)()) for k in ("mean", "min", "max")},
+            responsibilities_summary={
+                "mean": float(resp.mean()),
+                "min": float(resp.min()),
+                "max": float(resp.max()),
+            },
             scintillation_index=si,
             restart_index=k,
         )
