@@ -6,8 +6,9 @@ evaluates outage probability, average bit error rate, and ergodic capacity.
 Outage comes from the incomplete-gamma closed form.  BER and capacity have
 one production route, a certified quadrature: each lobe's expectation is
 integrated in t = ln U around the peak of its concave log-integrand, on
-vectorized Gauss-Kronrod panels seeded at the peak (the first round of
-panels of all of a point's lobes in one integrand call), the parts are
+vectorized Gauss-Kronrod panels seeded at the peak and a sqrt(2) ladder of
+its width (the first round of panels of all of a point's lobes in one
+integrand call, which certifies almost every lobe), the parts are
 summed in log space, and the value is returned only when the error bound of
 the total is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).
 Values below the double range therefore come back certified as 0.0 or
@@ -74,8 +75,8 @@ CERTIFY_RTOL = 1e-6
 # log-integrand has fallen this far below its peak
 _DROP = 40.0
 _QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-8, max_subdivisions=400)
-# panel breaks at the peak and 2^k (k = 0..7) of its width to either side
-_BREAK_LADDER = np.concatenate([-(2.0 ** np.arange(7, -1, -1)), [0.0], 2.0 ** np.arange(8)])
+# panel breaks at the peak and 2^(k/2) (k = 0..14) of its width to either side
+_BREAK_LADDER = np.concatenate([-(2.0 ** (np.arange(14, -1, -1) / 2.0)), [0.0], 2.0 ** (np.arange(15) / 2.0)])
 _FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=2000)
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -407,30 +408,46 @@ def _level_point(ell, t_star, target, step, direction):
     """A point on one side of the peak where the concave ``ell`` is at most
     ``target`` (and within one unit of it), with ell and its slope there.
 
-    While the fall from the peak, target + ``_DROP`` - ell, exceeds 4
-    ``_DROP`` the Newton step is taken in ln(fall), nearly linear in t where
-    ell falls like -e^t; nearer the level it is taken in ell.
+    The first probe is ``step`` from the peak t*; from a probe inside the
+    level set the next is the farther of the doubled probe and the tangent
+    point, which lies outside for a concave ell.  From outside, while the
+    fall from the peak, target + ``_DROP`` - ell, exceeds 4 ``_DROP`` the
+    Newton step is taken in ln(fall), nearly linear in t where ell falls like
+    -e^t; nearer the level it is taken in ell.  A step that leaves the
+    bracket of the points seen is replaced by a false-position step in
+    ln(fall) between its ends, Illinois-weighted (Dowell & Jarratt, BIT 11,
+    1971), or by a bisection while the inner end is still the peak.
     """
-    inner = t_star
+    inner, f_in = t_star, target + _DROP
+    t = t_star + direction * step
     for _ in range(100):
-        t = t_star + direction * step
         f, d1, _ = ell(t)
         if f <= target:
             break
-        inner, step = t, 2.0 * step
+        inner, f_in, t = t, f, 2.0 * t - t_star
+        if d1 * direction < 0.0:
+            tangent = inner - (f - target) / d1
+            if (tangent - t) * direction > 0.0:
+                t = tangent
     # Newton steps in ell from outside the level set stay outside for a concave ell
+    run = 0  # points in a row that landed inside; Illinois halves the outer end from the second
     for _ in range(100):
         if f >= target - 1.0:
             break
         fall = target + _DROP - f
         nxt = t + math.log(fall / _DROP) * fall / d1 if fall > 4.0 * _DROP else t - (f - target) / d1
         if not (min(inner, t) < nxt < max(inner, t)):
-            nxt = 0.5 * (inner + t)
+            fall_in = target + _DROP - f_in
+            if fall_in > 0.0:
+                phi, phi_in = math.log(fall / _DROP) * 0.5 ** max(run - 1, 0), math.log(fall_in / _DROP)
+                nxt = t + (inner - t) * phi / (phi - phi_in)
+            if not (min(inner, t) < nxt < max(inner, t)):
+                nxt = 0.5 * (inner + t)
         g, g1, _ = ell(nxt)
         if g > target:
-            inner = nxt
+            inner, f_in, run = nxt, g, run + 1
         else:
-            t, f, d1 = nxt, g, g1
+            t, f, d1, run = nxt, g, g1, 0
     return t, f, d1
 
 
@@ -460,16 +477,21 @@ def _lobe_expectations(lobes, kernel):
     log-integrand L(t) = a t - e^t + ln h(s0 + kappa t) - ln Gamma(a) is
     concave for the BER and capacity kernels.  It is integrated as
     exp(L - L*) on Gauss-Kronrod panels between the points where it has
-    fallen ``_DROP`` below its peak L*, with breaks at t* +- w 2^k (k = 0..7,
-    w = 1/sqrt(-L''(t*))); concavity bounds each tail beyond by
-    exp(L - L*) / |L'| there.  The peak and the ends are found by Newton
-    steps in ln N - ln P, where L' = P - N splits into its positive and
-    negative parts, and in ln(L* - L) far below the level, L near it.
+    fallen ``_DROP`` below its peak L*, with breaks at t* +- w 2^(k/2)
+    (k = 0..14, w = 1/sqrt(-L''(t*))); concavity bounds each tail beyond by
+    exp(L - L*) / |L'| there.  The peak is found by Newton steps in
+    ln N - ln P, where L' = P - N splits into its positive and negative
+    parts; each end by a probe that steps past the tangent point, then Newton
+    steps in ln(L* - L) far below the level and in L near it, with false
+    position where a step leaves the bracket (see :func:`_level_point`).
 
     The searches run lobe by lobe.  The first round of panels of every lobe
     then goes through one integrand call and one :func:`_gk_panels`, and each
     lobe's own :func:`_gauss_kronrod` takes its slice of that round, stops or
-    splits by its own tolerance, and goes on alone.
+    splits by its own tolerance, and goes on alone.  The ladder is dense
+    enough that over the ``curves`` grid about one lobe in seventeen goes on,
+    nearly all of them the Generalized Gamma lobes of the strong-turbulence
+    rows, whose side away from zero falls like a cliff.
     """
     log_h, log_h_array = kernel
     params, scales, panels, tails = [], [], [], []

@@ -10,8 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import brentq
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import gammaln, logsumexp
 
 import uwoc.em as em_module
 from uwoc.distributions import WEIGHT_EPS, EggParams
@@ -72,14 +71,26 @@ def gg_q_log(samples, weights, a, log_theta, c):
     return float(np.dot(weights[keep], terms))
 
 
+def shape_root(spread):
+    """The root a of ln a - psi(a) = spread, as an mpmath number.
+
+    40 digits, plus those that ln a - psi(a) loses where it is small; the
+    bounds 1/(2a) < ln a - psi(a) < 1/a bracket the root in ln a.
+    """
+    with mpmath.workdps(40 + max(0, int(-math.log10(spread)))):
+        s = mpmath.mpf(spread)
+        log_a = mpmath.findroot(lambda t: (t - mpmath.digamma(mpmath.exp(t))) / s - 1,
+                                (-mpmath.log(2 * s), -mpmath.log(s)), solver="anderson")
+        return mpmath.exp(log_a)
+
+
 def gg_profile(samples, weights, c):
     """Profile Q at c: the weighted Gamma ML of I^c in (a, theta), solved apart."""
     log_y = c * np.log(samples)
     w_total = float(weights.sum())
     log_mean_y = float(logsumexp(log_y, b=weights)) - math.log(w_total)
     spread = log_mean_y - float(np.dot(weights, log_y)) / w_total
-    log_a = brentq(lambda t: t - digamma(math.exp(t)) - spread, -33.0, 40.0, xtol=1e-14)
-    a = math.exp(log_a)
+    a = float(shape_root(spread))
     return gg_q_log(samples, weights, a, log_mean_y - math.log(a), c), a
 
 
@@ -308,16 +319,9 @@ class TestMStepExp:
 
 
 def _shape_error(spread, got):
-    """Relative error of ``got`` against the root a of ln a - psi(a) = spread, in mpmath.
-
-    40 digits, plus those that ln a - psi(a) loses where it is small; the
-    bounds 1/(2a) < ln a - psi(a) < 1/a bracket the root in ln a.
-    """
-    with mpmath.workdps(40 + max(0, int(-math.log10(spread)))):
-        s = mpmath.mpf(spread)
-        log_a = mpmath.findroot(lambda t: (t - mpmath.digamma(mpmath.exp(t))) / s - 1,
-                                (-mpmath.log(2 * s), -mpmath.log(s)), solver="anderson")
-        return float(abs(mpmath.mpf(got) / mpmath.exp(log_a) - 1))
+    """Relative error of ``got`` against the root a of ln a - psi(a) = spread."""
+    with mpmath.workdps(40):
+        return float(abs(mpmath.mpf(got) / shape_root(spread) - 1))
 
 
 class TestGammaShape:

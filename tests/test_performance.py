@@ -5,10 +5,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.optimize import brentq
 
-from uwoc import performance
+from uwoc import performance, special
 from uwoc.distributions import EggParams
 from uwoc.errors import ConvergenceError
 from uwoc.performance import (
@@ -569,10 +571,13 @@ class TestOneFirstRound:
     goes on alone: the same value as one integral per lobe."""
 
     @pytest.mark.parametrize("label, mode, modulation, snr_db", [
-        # each of its lobe integrals needs a second round
+        # the GG lobe's integrals go on past the shared round, the exponential lobe's stop
+        pytest.param("23.6lpm-0.22C", HETERODYNE, Modulation.mpsk(8), -10.0, id="23.6lpm-0.22C-8psk--10dB"),
+        pytest.param("23.6lpm-0.22C", IMDD, None, 50.0, id="23.6lpm-0.22C-imdd-capacity-50dB"),
+        # every lobe integral stops after the shared round (each went on past
+        # it on the 2^k ladder of breaks, except two of the 8-PSK point's four)
         pytest.param("salty-0lpm", HETERODYNE, Modulation.mqam(16), 20.0, id="salty-0lpm-16qam-20dB"),
         pytest.param("2.4lpm-0.05C", IMDD, None, 50.0, id="2.4lpm-0.05C-imdd-capacity-50dB"),
-        # two of its four lobe integrals stop after the shared round
         pytest.param("2.4lpm-0.05C", HETERODYNE, Modulation.mpsk(8), -10.0, id="2.4lpm-0.05C-8psk--10dB"),
     ])
     def test_matches_the_per_lobe_sum(self, label, mode, modulation, snr_db):
@@ -589,7 +594,10 @@ class TestOneFirstRound:
                                  performance._BER_KERNEL)
         assert got == pytest.approx(want, rel=1e-13)
 
-    def test_one_panel_round_for_all_lobes(self, monkeypatch):
+    @staticmethod
+    def _panel_rounds(monkeypatch, link, modulation):
+        """The :func:`_gk_panels` calls of one point: the shared first round,
+        and any further round of a lobe's own _gauss_kronrod."""
         rounds, panels = [], performance._gk_panels
 
         def counted(fv, half):
@@ -597,9 +605,56 @@ class TestOneFirstRound:
             return panels(fv, half)
 
         monkeypatch.setattr(performance, "_gk_panels", counted)
+        monkeypatch.setattr(special, "_gk_panels", counted)
+        if modulation is None:
+            ergodic_capacity(link)
+        else:
+            avg_ber(link, modulation)
+        return len(rounds)
+
+    def test_one_panel_round_for_all_lobes(self, monkeypatch):
         # 8-PSK has two kernel terms, each over both lobes: four integrals
-        avg_ber(LinkBudget(ROW1, HETERODYNE, db(20.0)), Modulation.mpsk(8))
-        assert len(rounds) == 1
+        link = LinkBudget(ROW1, HETERODYNE, db(20.0))
+        assert self._panel_rounds(monkeypatch, link, Modulation.mpsk(8)) == 1
+
+    @pytest.mark.parametrize("mode, modulation, snr_db", [
+        pytest.param(IMDD, Modulation.ook(), 0.0, id="ook-0dB"),
+        pytest.param(HETERODYNE, None, 20.0, id="het-capacity-20dB"),
+    ])
+    def test_mid_row_certifies_in_the_first_round(self, monkeypatch, mode, modulation, snr_db):
+        # on the 2^k ladder of breaks one lobe of the OOK point and both of the
+        # capacity point's went on to a second round
+        link = LinkBudget(condition("salty-2.4lpm").egg, mode, db(snr_db))
+        assert self._panel_rounds(monkeypatch, link, modulation) == 1
+
+    def test_second_rounds_in_one_snr_column(self, monkeypatch):
+        # the lobe integrals of the 18 rows at 0 dB that go on past the shared
+        # first round: 89 on the 2^k ladder; outage has none
+        refined, integrate = [], performance._gauss_kronrod
+
+        def counted(f, breaks, cfg, first):
+            calls = []
+
+            def integrand(t):
+                calls.append(t.shape)
+                return f(t)
+
+            try:
+                return integrate(integrand, breaks, cfg, first)
+            finally:
+                refined.append(bool(calls))
+
+        monkeypatch.setattr(performance, "_gauss_kronrod", counted)
+        for cond in ALL_CONDITIONS:
+            imdd, het = (LinkBudget(cond.egg, mode, db(0.0)) for mode in (IMDD, HETERODYNE))
+            avg_ber(imdd, Modulation.ook())
+            ergodic_capacity(imdd)
+            for modulation in (Modulation.bpsk(), Modulation.mqam(16), Modulation.mpsk(8)):
+                avg_ber(het, modulation)
+            ergodic_capacity(het)
+        # eight kernel terms a row, each over two lobes but one on the two *-0lpm rows
+        assert len(refined) == 16 * 8 * 2 + 2 * 8
+        assert sum(refined) <= 33
 
 
 def _counted_lobe(params, mode, snr_db, metric, lobe):
@@ -633,6 +688,24 @@ class TestLobeSearches:
         assert abs(ell(t)[1]) <= 1e-8 * (1.0 + abs(t)) * -d2
         return t, spent
 
+    @staticmethod
+    def _level_calls(a, ell, calls):
+        """The calls spent by the level search on each side of the peak, each
+        checked to keep its contract: a point outside the level set and within
+        one unit of it, with ell's value and slope there."""
+        t_star, f_star, d2 = performance._argmax(ell, a)
+        target = f_star - performance._DROP
+        step = math.sqrt(2.0 * performance._DROP / max(-d2, 1e-12))
+        spent = []
+        for direction in (-1.0, 1.0):
+            del calls[:]
+            t, f, slope = performance._level_point(ell, t_star, target, step, direction)
+            spent.append(len(calls))
+            assert target - 1.0 <= f <= target, direction
+            assert (t - t_star) * direction > 0.0 and slope * direction < 0.0
+            assert (f, slope) == ell(t)[:2]
+        return spent
+
     def test_converged_step_on_the_bracket_end(self):
         # a step of about 1e-17 rounds onto the bracket end; bisection then
         # spent about 20 more calls walking back to the same t
@@ -659,19 +732,32 @@ class TestLobeSearches:
             capacity_foxh(link), rel=1e-9)
 
     def test_level_far_below_the_peak(self):
-        # a = 0.0121: the first probe right of the peak lands near L = -1e19,
-        # and steps in L walked back about one unit of t per call
-        a, ell, calls = _counted_lobe(STRONG, HETERODYNE, 30.0, "ber", 1)
-        t_star, f_star, d2 = performance._argmax(ell, a)
-        target = f_star - performance._DROP
-        step = math.sqrt(2.0 * performance._DROP / -d2)
-        for direction in (-1.0, 1.0):
-            del calls[:]
-            t, f, slope = performance._level_point(ell, t_star, target, step, direction)
-            assert len(calls) <= 20, direction
-            assert target - 1.0 <= f <= target, direction
-            assert (t - t_star) * direction > 0.0 and slope * direction < 0.0
-            assert (f, slope) == ell(t)[:2]
+        # a = 0.0121: the first probe right of the peak lands near L = -2e54,
+        # and steps in L walked back about one unit of t per call; left of it
+        # the probe lies inside the level set, and doubling it took 5 calls
+        # where the tangent point lands within one unit of the level
+        left, right = self._level_calls(*_counted_lobe(STRONG, HETERODYNE, 30.0, "ber", 1))
+        assert left <= 3 and right <= 7
+
+    def test_overshoot_into_the_level_set(self):
+        # right of the capacity peak a ln(fall) step lands just inside the
+        # level set, and so did each later one: bisections between it and the
+        # outer point took 15 calls, where one false-position step lands within
+        # one unit of the level
+        assert self._level_calls(*_counted_lobe(STRONG, HETERODYNE, -10.0, "capacity", 1))[1] <= 4
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(log_a=st.floats(math.log(7.5e-3), math.log(4e3)),
+           log_c=st.floats(math.log(0.5), math.log(217.0)),
+           snr_db=st.floats(-10.0, 80.0),
+           metric=st.sampled_from(["ber", "capacity"]),
+           mode=st.sampled_from([HETERODYNE, IMDD]))
+    def test_level_contract_over_the_fitted_box(self, log_a, log_c, snr_db, metric, mode):
+        # the GG lobe of mean 1 alone; each loop makes one call an iteration,
+        # so at most 10 calls a side means neither of its 100-step loops ran out
+        a, c = math.exp(log_a), math.exp(log_c)
+        params = EggParams(0.0, 1.0, a, math.exp(sp.gammaln(a) - sp.gammaln(a + 1.0 / c)), c)
+        assert max(self._level_calls(*_counted_lobe(params, mode, snr_db, metric, 0))) <= 10
 
 
 class TestAvgBerAsymptotic:
