@@ -195,10 +195,16 @@ def _build_modulation(args):
 
 def _scorer(samples, bins):
     """The ``gof`` block of a model against ``samples``, as a function of the
-    model.  The histogram is built here, so a bad ``bins`` fails before a fit."""
+    model, with ``--bins`` a count or 'auto'.  The histogram is built here, so
+    a bad ``--bins`` fails before a fit."""
     from .gof import build_histogram, mse_cdf, r_square
 
-    hist = build_histogram(samples, "auto" if bins in (None, "auto") else int(bins))
+    if bins != "auto":
+        try:
+            bins = int(bins)
+        except ValueError:
+            raise _UserError(f"--bins must be a bin count or 'auto', got {bins!r}") from None
+    hist = build_histogram(samples, bins)
     return lambda model: {"mse": mse_cdf(samples, model), "r2": r_square(hist, model), "bins": hist.n_bins}
 
 
@@ -333,14 +339,14 @@ def build_parser():
     p_fit.add_argument("--max-iter", type=int, default=500)
     p_fit.add_argument("--restarts", type=int, default=3)
     p_fit.add_argument("--seed", type=int, default=0)
-    p_fit.add_argument("--bins", type=int, default=None, help="histogram bins for the R2 score")
+    p_fit.add_argument("--bins", default="auto", help="histogram bins for the R2 score: a count or 'auto'")
     p_fit.add_argument("--output", default="-", help="report JSON path (default stdout)")
     p_fit.set_defaults(func=cmd_fit)
 
     p_gof = sub.add_parser("gof", help="re-score a fit report against samples")
     p_gof.add_argument("--input", required=True)
     p_gof.add_argument("--report", required=True)
-    p_gof.add_argument("--bins", default="auto", help="bin count or 'auto'")
+    p_gof.add_argument("--bins", default="auto", help="histogram bins for the R2 score: a count or 'auto'")
     p_gof.add_argument("--output", default="-")
     p_gof.set_defaults(func=cmd_gof)
 

@@ -28,7 +28,7 @@ from .distributions import (
     _VARIANTS,
     _log_mix,
 )
-from .errors import DataError, DegenerateComponentError, FitFailureError, check_positive, checked_array
+from .errors import DataError, DegenerateComponentError, FitFailureError, check_integer, check_positive, checked_array
 from .special import sp
 
 __all__ = [
@@ -89,8 +89,8 @@ class EmConfig:
 
     def __post_init__(self):
         check_positive(epsilon=self.epsilon)
-        if self.max_iters < 1 or self.restarts < 1:
-            raise ValueError("max_iters and restarts must be >= 1")
+        check_integer(1, max_iters=self.max_iters, restarts=self.restarts)
+        check_integer(0, seed=self.seed)
 
 
 @dataclass
@@ -189,11 +189,15 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
     and U_c = sum w I^c ln^2 I: one pass over the data per c.  A safeguarded
     Newton ascent in ln c starts at ``c_hint`` (clamped to the admissible
     range), or without a usable hint at the best point of a coarse ln c scan
-    over that range, and never ends below its start.  Where the maximum lies
-    at a c whose scale b would over- or underflow, the best point evaluated
-    with a finite b is returned.  Bad samples or responsibilities raise
-    DataError, a bad hint ValueError; passing ``log_i``, ln I of samples the
-    caller has already checked, skips every check and the logarithm.
+    over that range, and never ends below its start but by the rounding of Q.
+    With a hint the result is thus no lower than the hint's profile point,
+    the best (a, b) at c = c_hint, and so than any lobe with that c: the
+    ascent an EM map needs when the hint is the previous c.  Where the
+    maximum lies at a c whose scale b would over- or underflow, the best
+    point evaluated with a finite b is returned.  Bad samples or
+    responsibilities raise DataError, a bad hint ValueError; passing
+    ``log_i``, ln I of samples the caller has already checked, skips every
+    check and the logarithm.
     """
     if log_i is None:
         arr = validate_samples(samples)
@@ -488,38 +492,11 @@ def _squarem_point(theta0, theta1, theta2):
 # Driver
 # ---------------------------------------------------------------------------
 
-def _gg_update(samples, log_i, resp, params: EggParams):
-    """GG lobe M-step, kept only when it does not lower the lobe's Q.
-
-    The profile Newton ascent starts at the previous c; comparing the lobe's
-    expected log-likelihood directly guards the monotone trace against
-    rounding in the closed-form profile.
-    """
-    weights = 1.0 - resp  # m_step_gg checks their mass
-    w_total = float(weights.sum())
-    w_log_i = _dot(weights, log_i)
-    work = np.empty_like(log_i)
-
-    def q_of(a, b, c):
-        """sum_i w_i ln g(I_i; a, b, c), the Q contribution of the GG lobe."""
-        log_theta = c * math.log(b)
-        power = np.multiply(log_i, c, out=work)
-        power -= log_theta
-        np.minimum(power, 700.0, out=power)
-        np.exp(power, out=power)
-        return (w_total * (math.log(c) - a * log_theta - sp.gammaln(a))
-                + (a * c - 1.0) * w_log_i - _dot(weights, power))
-
-    a, b, c = m_step_gg(samples, resp, c_hint=params.c, log_i=log_i)
-    if q_of(a, b, c) >= q_of(params.a, params.b, params.c):
-        return replace(params, a=a, b=b, c=c)
-    return params
-
-
 def _second_lobe_update(samples, log_i, resp, params):
     """M-step of the non-exponential lobe; returns an updated params object."""
     if params.variant == "egg":
-        return _gg_update(samples, log_i, resp, params)
+        a, b, c = m_step_gg(samples, resp, c_hint=params.c, log_i=log_i)
+        return replace(params, a=a, b=b, c=c)
     if params.variant == "eg":
         alpha, beta = _m_step_gamma(samples, log_i, resp)
         return replace(params, alpha=alpha, beta=beta)
@@ -536,7 +513,7 @@ def _em_map(samples, log_i, resp, params):
         pass  # lobe frozen; omega decides its weight
     candidate = replace(candidate, omega=min(max(float(resp.mean()), 0.0), 1.0))
     try:
-        # per-component Q acceptance keeps this an ascent step
+        # each M-step is no lower in its own Q term (m_step_gg's from the previous c)
         return _second_lobe_update(samples, log_i, resp, candidate)
     except DegenerateComponentError:
         return candidate
@@ -568,7 +545,7 @@ def _em_once(samples, log_i, cfg: EmConfig, params):
         new = _em_map(samples, log_i, resp, params)
         new_resp, ll = _resp_and_loglik(samples, log_i, new)
         if ll < trace[-1] - ASCENT_SLACK:
-            # should not happen with per-component acceptance; stop cleanly,
+            # no M-step lowers its Q term, so this is more than rounding: stop,
             # keeping the last accepted parameters, and report no convergence
             return params, resp, True
         moved = float(np.max(np.abs(_param_vector(new) - _param_vector(params))))

@@ -1,9 +1,11 @@
 """Exception types shared across the package, and the input check of every
 public entry point: ``checked_array`` for arrays (DataError at the first bad
-entry's index) and ``check_positive`` for scalars (ValueError naming it), and
-``check_finite`` for the scalars that may be zero or negative."""
+entry's index) and ``check_positive`` for scalars (ValueError naming it),
+``check_finite`` for the scalars that may be zero or negative, and
+``check_integer`` for counts and seeds."""
 
 import math
+import operator
 
 import numpy as np
 
@@ -73,6 +75,18 @@ def check_positive(**scalars):
     for name, value in scalars.items():
         if not 0.0 < value < math.inf:
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
+def check_integer(least, **scalars):
+    """Raise ``ValueError`` naming the first of ``scalars`` that is not an integer >= ``least``
+    (one that ``operator.index`` takes, so numpy integers pass and floats do not)."""
+    for name, value in scalars.items():
+        try:
+            ok = operator.index(value) >= least
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 def check_finite(**scalars):

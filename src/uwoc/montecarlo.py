@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_integer
 from .performance import (
     CAPACITY_TAU,
     LinkBudget,
@@ -49,8 +50,8 @@ class SimConfig:
     chunk_size: int = 1_000_000
 
     def __post_init__(self):
-        if self.n_samples < 1 or self.chunk_size < 1:
-            raise ValueError("n_samples and chunk_size must be >= 1")
+        check_integer(1, n_samples=self.n_samples, chunk_size=self.chunk_size)
+        check_integer(0, seed=self.seed)
 
 
 def _chunk_sizes(cfg: SimConfig):

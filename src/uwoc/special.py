@@ -24,7 +24,7 @@ import numpy as np
 # SciPy loads on first use: scipy.integrate inside adaptive_quad, the ufuncs
 # of scipy.special through ``sp``; importing uwoc loads none of them
 
-from .errors import ConvergenceError, check_finite, check_positive, checked_array
+from .errors import ConvergenceError, check_finite, check_integer, check_positive, checked_array
 
 __all__ = [
     "QuadratureConfig",
@@ -45,8 +45,7 @@ class QuadratureConfig:
 
     def __post_init__(self):
         check_positive(abs_tol=self.abs_tol, rel_tol=self.rel_tol)
-        if self.max_subdivisions < 1:
-            raise ValueError("max_subdivisions must be >= 1")
+        check_integer(1, max_subdivisions=self.max_subdivisions)
 
 
 DEFAULT_QUAD = QuadratureConfig()

@@ -288,6 +288,19 @@ class TestFit:
         assert "bin count must be >= 1" in capsys.readouterr().err
         assert fits == []
 
+    def test_bins_auto_is_the_default(self, tmp_path, small_fit):
+        samples, report = small_fit
+        again = tmp_path / "again.json"
+        assert run(["fit", "--input", str(samples), "--eps", "1e-3", "--restarts", "1",
+                    "--bins", "auto", "--output", str(again)]) == 0
+        assert again.read_bytes() == report.read_bytes()
+
+    @pytest.mark.parametrize("flag, value", [("--seed", "-2"), ("--restarts", "0"), ("--max-iter", "0")])
+    def test_bad_count_or_seed_names_its_field(self, sample_file, capsys, flag, value):
+        assert run(["fit", "--input", str(sample_file), flag, value]) == 2
+        field = {"--seed": "seed", "--restarts": "restarts", "--max-iter": "max_iters"}[flag]
+        assert f"error: {field} must be an integer >= " in capsys.readouterr().err
+
     def test_eg_schema(self, tmp_path):
         samples = tmp_path / "eg.txt"
         report = tmp_path / "eg.json"
@@ -318,6 +331,12 @@ class TestGof:
         assert payload["bins"] == 50
         assert payload["r2"] > 0.9
         assert payload["mse"] < 1e-3
+
+    @pytest.mark.parametrize("bins", ["abc", "2.5", ""])
+    def test_bad_bins_names_the_flag(self, small_fit, capsys, bins):
+        samples, report = small_fit
+        assert run(["gof", "--input", str(samples), "--report", str(report), "--bins", bins]) == 2
+        assert f"error: --bins must be a bin count or 'auto', got {bins!r}" in capsys.readouterr().err
 
     def test_schema_mismatch(self, tmp_path, sample_file):
         broken = tmp_path / "broken.json"

@@ -13,6 +13,7 @@ from uwoc.distributions import EggParams, EgParams, ExpLognormalParams
 from uwoc.em import EmConfig, e_step, fit, log_likelihood, m_step_exp, m_step_gg, update_omega
 from uwoc.errors import DataError, check_positive, checked_array
 from uwoc.gof import Histogram, build_histogram, mse_cdf
+from uwoc.montecarlo import SimConfig
 from uwoc.performance import (
     HETERODYNE,
     IMDD,
@@ -58,6 +59,18 @@ SCALAR_ENTRY_POINTS = {
 }
 
 
+# name -> (construct with the field at a value, the least valid value)
+INTEGER_FIELDS = {
+    "max_iters": (lambda v: EmConfig(max_iters=v), 1),
+    "restarts": (lambda v: EmConfig(restarts=v), 1),
+    "seed": (lambda v: EmConfig(seed=v), 0),
+    "n_samples": (lambda v: SimConfig(n_samples=v), 1),
+    "chunk_size": (lambda v: SimConfig(chunk_size=v), 1),
+    "SimConfig seed": (lambda v: SimConfig(seed=v), 0),
+    "max_subdivisions": (lambda v: QuadratureConfig(max_subdivisions=v), 1),
+}
+
+
 @pytest.fixture(autouse=True)
 def _warnings_are_errors():
     with warnings.catch_warnings():
@@ -84,6 +97,23 @@ def test_bad_array_entry_raises_at_its_index(name, bad):
 def test_bad_scalar_raises_value_error(name, bad):
     with pytest.raises(ValueError, match="must be positive and finite"):
         SCALAR_ENTRY_POINTS[name](bad)
+
+
+@pytest.mark.parametrize("bad", ["below", 2.5, 1e4, 3.0, "3", None])
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_integer_field_is_checked_at_construction(name, bad):
+    make, least = INTEGER_FIELDS[name]
+    value = least - 1 if bad == "below" else bad
+    field_name = name.split()[-1]
+    with pytest.raises(ValueError, match=rf"^{field_name} must be an integer >= {least}, got {value!r}$"):
+        make(value)
+
+
+@pytest.mark.parametrize("name", INTEGER_FIELDS)
+def test_integer_field_takes_numpy_integers(name):
+    make, least = INTEGER_FIELDS[name]
+    for value in (np.int64(least), np.uint8(least + 1)):
+        make(value)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
