@@ -1,5 +1,8 @@
 """Two-lobe turbulence fading toolkit for underwater optical links.
 
+``_EXPORTS`` below is the one list of public names, by submodule; the
+submodules keep no ``__all__`` of their own.
+
 The public names load on first use (PEP 562): ``import uwoc`` imports no
 submodule, and ``uwoc.fit`` imports ``uwoc.em`` when it is first read.  Each
 read looks the name up in its submodule again, and nothing is cached here,
@@ -11,12 +14,11 @@ from importlib import import_module as _import_module
 
 __version__ = "0.1.0"
 
-# submodule -> the public names it defines
+# submodule -> the public names it defines; uwoc.__all__ is derived from it
 _EXPORTS = {
     "distributions": ("EggParams", "EgParams", "ExpLognormalParams", "MixtureModel",
                       "model_from_dict"),
-    "em": ("EmConfig", "FitReport", "e_step", "fit", "log_likelihood", "m_step_exp",
-           "m_step_gg", "update_omega"),
+    "em": ("EmConfig", "FitReport", "fit", "log_likelihood", "m_step_exp", "m_step_gg"),
     "gof": ("Histogram", "build_histogram", "mse_cdf", "r_square"),
     "montecarlo": ("SimConfig", "simulate", "simulate_ber"),
     "presets": ("ALL_CONDITIONS", "GRADIENT_CONDITIONS", "UNIFORM_CONDITIONS",
@@ -29,7 +31,7 @@ _EXPORTS = {
                     "capacity_quadrature", "electrical_snr", "ergodic_capacity",
                     "modulation_params", "outage", "snr_cdf", "snr_cdf_asymptotic",
                     "snr_moment", "snr_pdf"),
-    "special": ("FoxHSpec", "QuadratureConfig", "adaptive_quad", "fox_h"),
+    "special": ("FoxHSpec", "QuadratureConfig", "adaptive_quad", "fox_h_ln"),
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

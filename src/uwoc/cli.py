@@ -26,7 +26,7 @@ import numpy as np
 
 from . import __version__
 from .distributions import _VARIANTS, EggParams, model_from_dict
-from .errors import DataError, UwocError, checked_array
+from .errors import DataError, UwocError, check_integer, checked_array
 
 EXIT_OK = 0
 EXIT_USER = 2
@@ -35,6 +35,11 @@ EXIT_NUMERIC = 3
 
 class _UserError(Exception):
     """Invalid input or flag combination; maps to exit code 2."""
+
+
+# the count and seed flags, by argparse dest, and the least value each takes;
+# ``main`` checks them before any command runs, so an error names the flag
+_COUNT_FLAGS = {"max_iter": 1, "restarts": 1, "samples": 1, "n": 1, "seed": 0}
 
 
 def _atomic_write(path, text):
@@ -204,6 +209,7 @@ def _scorer(samples, bins):
             bins = int(bins)
         except ValueError:
             raise _UserError(f"--bins must be a bin count or 'auto', got {bins!r}") from None
+        check_integer(1, **{"--bins": bins})
     hist = build_histogram(samples, bins)
     return lambda model: {"mse": mse_cdf(samples, model), "r2": r_square(hist, model), "bins": hist.n_bins}
 
@@ -312,8 +318,6 @@ def cmd_simulate(args):
 
 
 def cmd_synth(args):
-    if args.n < 1:
-        raise _UserError("--n must be >= 1")
     model = _resolve_params(args)
     rng = np.random.default_rng(args.seed)
     write_samples(args.output, model.sample(rng, args.n))
@@ -391,6 +395,9 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, least in _COUNT_FLAGS.items():
+            if dest in vars(args):
+                check_integer(least, **{"--" + dest.replace("_", "-"): getattr(args, dest)})
         return args.func(args)
     except (_UserError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -22,15 +22,6 @@ import numpy as np
 from .errors import check_finite, check_positive, checked_array
 from .special import sp
 
-__all__ = [
-    "EggParams",
-    "EgParams",
-    "ExpLognormalParams",
-    "MixtureModel",
-    "model_from_dict",
-    "WEIGHT_EPS",
-]
-
 # mixture weights below this are treated as an absent component
 WEIGHT_EPS = 1e-12
 
@@ -191,9 +182,6 @@ class _Mixture(ABC):
             return m2 / m1**2 - 1.0 if m2 < math.inf else math.nan
         except ArithmeticError:  # E[I]^2 overflows, or underflows to 0
             return math.nan
-
-    def mean(self):
-        return self.moment(1)
 
     def sample(self, rng, size=None):
         """Draw irradiance values using ``rng`` (a numpy Generator)."""

@@ -31,17 +31,6 @@ from .distributions import (
 from .errors import DataError, DegenerateComponentError, FitFailureError, check_integer, check_positive, checked_array
 from .special import sp
 
-__all__ = [
-    "EmConfig",
-    "FitReport",
-    "e_step",
-    "m_step_gg",
-    "m_step_exp",
-    "update_omega",
-    "log_likelihood",
-    "fit",
-]
-
 # per-step slack on the ascent property, absorbing rounding in the M-steps
 ASCENT_SLACK = 1e-9
 
@@ -118,7 +107,7 @@ class FitReport:
         return self.loglik_trace[-1]
 
 
-def validate_samples(samples):
+def _validate_samples(samples):
     """Samples as a flat float array, each finite and positive; else DataError."""
     arr = checked_array(samples, "sample").ravel()
     if arr.size == 0:
@@ -126,11 +115,11 @@ def validate_samples(samples):
     return arr
 
 
-def _responsibilities(responsibilities, n=None):
-    """Responsibilities as a float array, n of them unless n is None, each in [0, 1]; else DataError."""
+def _responsibilities(responsibilities, n):
+    """Responsibilities as a float array, n of them, each in [0, 1]; else DataError."""
     resp = np.asarray(responsibilities, dtype=float)
-    if resp.size == 0 or n is not None and resp.shape != (n,):
-        raise DataError(f"responsibilities of shape {resp.shape}; need {n or 'one or more'}")
+    if resp.shape != (n,):
+        raise DataError(f"responsibilities of shape {resp.shape}; need {n}")
     checked_array(resp, "responsibility", allow_zero=True)
     checked_array(1.0 - resp, "1 - responsibility", allow_zero=True)  # each <= 1
     return resp
@@ -138,25 +127,16 @@ def _responsibilities(responsibilities, n=None):
 
 def log_likelihood(samples, model: MixtureModel):
     """Observed-data log-likelihood sum_i ln f(I_i)."""
-    arr = validate_samples(samples)
+    arr = _validate_samples(samples)
     return float(np.sum(model.log_pdf(arr)))
 
 
 def _resp_and_loglik(arr, log_i, params):
-    """Responsibilities and observed-data log-likelihood in one density pass."""
+    """The E-step: responsibilities gamma_i, the posterior probability that each
+    sample came from the exponential lobe, and the observed-data log-likelihood,
+    in one density pass over samples the caller has already checked."""
     log_mix, resp = _log_mix(params.omega, *params.component_log_pdfs(arr, log_i=log_i))
     return resp, float(log_mix.sum())
-
-
-def e_step(samples, params: MixtureModel):
-    """Posterior probability gamma_i that each sample came from the exponential lobe."""
-    arr = validate_samples(samples)
-    return _resp_and_loglik(arr, np.log(arr), params)[0]
-
-
-def update_omega(responsibilities):
-    """Mixing weight as the mean responsibility (each in [0, 1], else DataError)."""
-    return float(_responsibilities(responsibilities).mean())
 
 
 def m_step_exp(samples, responsibilities):
@@ -165,7 +145,7 @@ def m_step_exp(samples, responsibilities):
     The maximizer of the expected complete-data log-likelihood divides the
     responsibility-weighted intensity sum by the responsibility mass.
     """
-    arr = validate_samples(samples)
+    arr = _validate_samples(samples)
     return _exp_scale(arr, _responsibilities(responsibilities, arr.size))
 
 
@@ -200,7 +180,7 @@ def m_step_gg(samples, responsibilities, c_hint=None, *, log_i=None):
     check and the logarithm.
     """
     if log_i is None:
-        arr = validate_samples(samples)
+        arr = _validate_samples(samples)
         responsibilities = _responsibilities(responsibilities, arr.size)
         if c_hint is not None:
             check_positive(c_hint=c_hint)
@@ -599,7 +579,7 @@ def fit(samples, variant="egg", cfg: EmConfig = EmConfig()):
     """
     if variant not in _VARIANTS:
         raise ValueError(f"unknown variant {variant!r}")
-    arr = validate_samples(samples)
+    arr = _validate_samples(samples)
     log_i = np.log(arr)  # shared by every E- and M-step of every restart
     if arr.size < 100:
         warnings.warn(

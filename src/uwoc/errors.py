@@ -79,10 +79,10 @@ def check_positive(**scalars):
 
 def check_integer(least, **scalars):
     """Raise ``ValueError`` naming the first of ``scalars`` that is not an integer >= ``least``
-    (one that ``operator.index`` takes, so numpy integers pass and floats do not)."""
+    (one that ``operator.index`` takes, so numpy integers pass, and not a bool)."""
     for name, value in scalars.items():
         try:
-            ok = operator.index(value) >= least
+            ok = not isinstance(value, bool) and operator.index(value) >= least
         except TypeError:
             ok = False
         if not ok:

@@ -13,15 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import MixtureModel
-from .errors import DataError, HistogramError, UndefinedScoreError, checked_array
-
-__all__ = [
-    "Histogram",
-    "mse_cdf",
-    "build_histogram",
-    "r_square",
-    "DEFAULT_BIN_RANGE",
-]
+from .errors import DataError, HistogramError, UndefinedScoreError, check_integer, checked_array
 
 # auto bin selection (Freedman-Diaconis) is clamped into this range
 DEFAULT_BIN_RANGE = (20, 200)
@@ -79,10 +71,11 @@ def mse_cdf(samples, model: MixtureModel):
 def build_histogram(samples, bins="auto"):
     """Equal-width histogram over [min, max] with unit-integral densities.
 
-    ``bins='auto'`` applies the Freedman-Diaconis count clamped into
-    ``DEFAULT_BIN_RANGE``.  All-equal samples cannot be binned, nor samples
-    whose span is too narrow for ``bins`` distinct edges, or too wide for the
-    densities to be finite.  Samples are checked as in :func:`mse_cdf`.
+    ``bins`` is a count (an integer >= 1, else ValueError) or ``'auto'``, the
+    Freedman-Diaconis count clamped into ``DEFAULT_BIN_RANGE``.  All-equal
+    samples cannot be binned, nor samples whose span is too narrow for
+    ``bins`` distinct edges, or too wide for the densities to be finite.
+    Samples are checked as in :func:`mse_cdf`.
     """
     arr = checked_array(samples, "sample", allow_zero=True).ravel()
     if arr.size < 2:
@@ -98,9 +91,8 @@ def build_histogram(samples, bins="auto"):
         m = math.ceil(min((hi - lo) / width, DEFAULT_BIN_RANGE[1])) if width > 0 else DEFAULT_BIN_RANGE[1]
         m = int(np.clip(m, *DEFAULT_BIN_RANGE))
     else:
+        check_integer(1, bins=bins)
         m = int(bins)
-        if m < 1:
-            raise HistogramError("bin count must be >= 1")
     try:
         counts, edges = np.histogram(arr, bins=m, range=(lo, hi))
     except ValueError as exc:  # the edges of a subnormal span coincide

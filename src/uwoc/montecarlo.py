@@ -33,8 +33,6 @@ from .performance import (
 )
 from .special import sp
 
-__all__ = ["SimConfig", "simulate", "simulate_ber"]
-
 # A running task holds up to three chunk-sized arrays (gamma and two
 # temporaries of the BER kernel, 8 MB each at the default chunk), so the cap
 # bounds the pool's memory on any core count.

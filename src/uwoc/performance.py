@@ -40,30 +40,6 @@ from .errors import ConvergenceError, check_positive, checked_array
 from .special import (Estimate, FoxHSpec, QuadratureConfig, _gauss_kronrod, _gk_nodes, _gk_panels,
                       fox_h_ln, sp)
 
-__all__ = [
-    "DetectionMode",
-    "HETERODYNE",
-    "IMDD",
-    "Modulation",
-    "LinkBudget",
-    "modulation_params",
-    "electrical_snr",
-    "snr_pdf",
-    "snr_cdf",
-    "snr_cdf_asymptotic",
-    "snr_moment",
-    "outage",
-    "avg_ber",
-    "avg_ber_quadrature",
-    "avg_ber_foxh",
-    "avg_ber_asymptotic",
-    "ergodic_capacity",
-    "capacity_quadrature",
-    "capacity_foxh",
-    "capacity_asymptotic",
-    "CAPACITY_TAU",
-]
-
 # multiplicative SNR constant inside the capacity log
 CAPACITY_TAU = math.e / (2.0 * math.pi)
 

@@ -14,8 +14,6 @@ from dataclasses import dataclass
 
 from .distributions import EggParams, EgParams, ExpLognormalParams
 
-__all__ = ["ChannelCondition", "GRADIENT_CONDITIONS", "UNIFORM_CONDITIONS", "ALL_CONDITIONS", "condition"]
-
 
 @dataclass(frozen=True)
 class ChannelCondition:

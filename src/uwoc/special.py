@@ -26,14 +26,6 @@ import numpy as np
 
 from .errors import ConvergenceError, check_finite, check_integer, check_positive, checked_array
 
-__all__ = [
-    "QuadratureConfig",
-    "FoxHSpec",
-    "adaptive_quad",
-    "fox_h",
-    "fox_h_ln",
-]
-
 
 @dataclass(frozen=True)
 class QuadratureConfig:
@@ -377,8 +369,10 @@ def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
     on Gauss-Kronrod panels out to where it has fallen ``_FOXH_DROP`` in
     log below that, and ``cfg`` is in those scaled units.  Returns an
     :class:`Estimate`, or raises :class:`ConvergenceError` carrying the
-    estimate and bound scaled back.
+    estimate and bound scaled back; a ``log_z`` or ``log_prefactor`` that is
+    not finite raises ValueError.
     """
+    check_finite(log_z=log_z, log_prefactor=log_prefactor)
     if spec.decay_rate <= 0:
         raise ValueError(
             "Mellin-Barnes integral does not decay along vertical contours "
@@ -424,9 +418,3 @@ def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
         ) from exc
     return Estimate(scale * est, scale * est.error_bound)
 
-
-def fox_h(spec: FoxHSpec, z: float, cfg: QuadratureConfig = DEFAULT_QUAD):
-    """H^{m,n}_{p,q}[z] for real z > 0 (else ValueError) by contour integration, an :class:`Estimate`."""
-    z = float(z)
-    check_positive(z=z)
-    return fox_h_ln(spec, math.log(z), cfg)

@@ -80,6 +80,14 @@ class TestImport:
         assert _loaded_scipy("import uwoc") == set()
         assert _loaded_scipy("import uwoc.cli") == set()
 
+    def test_exports_are_the_one_list_of_public_names(self):
+        import importlib
+
+        import uwoc
+
+        for module in uwoc._EXPORTS:
+            assert not hasattr(importlib.import_module(f"uwoc.{module}"), "__all__"), module
+
     def test_synth_loads_no_scipy(self, tmp_path):
         out = tmp_path / "samples.txt"
         assert _loaded_scipy(RUN_CLI, "uwoc", "synth", "--params", ROW1, "--n", "1000",
@@ -195,9 +203,16 @@ class TestSynth:
                         "--output", str(out)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_zero_draws_rejected(self, tmp_path):
+    def test_zero_draws_rejected(self, tmp_path, capsys):
         assert run(["synth", "--params", ROW1, "--n", "0",
                     "--output", str(tmp_path / "x.txt")]) == 2
+        assert "error: --n must be an integer >= 1, got 0" in capsys.readouterr().err
+
+    def test_negative_seed_names_its_flag(self, tmp_path, capsys):
+        out = tmp_path / "x.txt"
+        assert run(["synth", "--params", ROW1, "--n", "10", "--seed", "-1", "--output", str(out)]) == 2
+        assert "error: --seed must be an integer >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_bad_params_rejected(self, tmp_path):
         assert run(["synth", "--params", "1,2,3", "--n", "10",
@@ -285,7 +300,7 @@ class TestFit:
         fits = []
         monkeypatch.setattr(uwoc.em, "fit", lambda *args: fits.append(args))
         assert run(["fit", "--input", str(sample_file), "--bins", bins]) == 2
-        assert "bin count must be >= 1" in capsys.readouterr().err
+        assert f"error: --bins must be an integer >= 1, got {int(bins)}" in capsys.readouterr().err
         assert fits == []
 
     def test_bins_auto_is_the_default(self, tmp_path, small_fit):
@@ -298,8 +313,7 @@ class TestFit:
     @pytest.mark.parametrize("flag, value", [("--seed", "-2"), ("--restarts", "0"), ("--max-iter", "0")])
     def test_bad_count_or_seed_names_its_field(self, sample_file, capsys, flag, value):
         assert run(["fit", "--input", str(sample_file), flag, value]) == 2
-        field = {"--seed": "seed", "--restarts": "restarts", "--max-iter": "max_iters"}[flag]
-        assert f"error: {field} must be an integer >= " in capsys.readouterr().err
+        assert f"error: {flag} must be an integer >= " in capsys.readouterr().err
 
     def test_eg_schema(self, tmp_path):
         samples = tmp_path / "eg.txt"
@@ -453,6 +467,12 @@ class TestSimulate:
         row = capsys.readouterr().out.splitlines()[1].split(",")
         est, se = float(row[1]), float(row[3])
         assert abs(est - 5.563568) <= 4.0 * se
+
+    @pytest.mark.parametrize("flag, value", [("--samples", "0"), ("--seed", "-1")])
+    def test_bad_count_or_seed_names_its_flag(self, capsys, flag, value):
+        assert run(["simulate", "outage", "--params", ROW1, "--detection", "imdd",
+                    "--snr-db", "10:20:10", flag, value]) == 2
+        assert f"error: {flag} must be an integer >= " in capsys.readouterr().err
 
 
 class TestParser:

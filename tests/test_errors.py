@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from uwoc.distributions import EggParams, EgParams, ExpLognormalParams
-from uwoc.em import EmConfig, e_step, fit, log_likelihood, m_step_exp, m_step_gg, update_omega
+from uwoc.em import EmConfig, fit, log_likelihood, m_step_exp, m_step_gg
 from uwoc.errors import DataError, check_positive, checked_array
 from uwoc.gof import Histogram, build_histogram, mse_cdf
 from uwoc.montecarlo import SimConfig
@@ -24,7 +24,7 @@ from uwoc.performance import (
     snr_pdf,
 )
 from uwoc.presets import condition
-from uwoc.special import FoxHSpec, QuadratureConfig, fox_h
+from uwoc.special import FoxHSpec, QuadratureConfig, fox_h_ln
 
 EGG = condition("2.4lpm-0.05C").egg
 LINK = LinkBudget(EGG, IMDD, 10.0)
@@ -36,7 +36,6 @@ HALF = np.full(4, 0.5)
 ARRAY_ENTRY_POINTS = {
     "fit": (fit, False),
     "log_likelihood": (lambda x: log_likelihood(x, EGG), False),
-    "e_step": (lambda x: e_step(x, EGG), False),
     "m_step_exp": (lambda x: m_step_exp(x, HALF), False),
     "m_step_gg": (lambda x: m_step_gg(x, HALF), False),
     "mse_cdf": (lambda x: mse_cdf(x, EGG), True),
@@ -53,13 +52,12 @@ SCALAR_ENTRY_POINTS = {
     "LinkBudget gamma_bar": lambda v: LinkBudget(EGG, IMDD, v),
     "LinkBudget gamma_th": lambda v: LinkBudget(EGG, IMDD, 10.0, v),
     "electrical_snr": lambda v: electrical_snr(EGG, IMDD, v),
-    "fox_h": lambda v: fox_h(SPEC, v),
     "EmConfig": lambda v: EmConfig(epsilon=v),
     "QuadratureConfig": lambda v: QuadratureConfig(rel_tol=v),
 }
 
 
-# name -> (construct with the field at a value, the least valid value)
+# name -> (construct with the field, or call with the count, at a value; the least valid value)
 INTEGER_FIELDS = {
     "max_iters": (lambda v: EmConfig(max_iters=v), 1),
     "restarts": (lambda v: EmConfig(restarts=v), 1),
@@ -68,6 +66,7 @@ INTEGER_FIELDS = {
     "chunk_size": (lambda v: SimConfig(chunk_size=v), 1),
     "SimConfig seed": (lambda v: SimConfig(seed=v), 0),
     "max_subdivisions": (lambda v: QuadratureConfig(max_subdivisions=v), 1),
+    "bins": (lambda v: build_histogram([0.5, 1.0, 2.0], v), 1),
 }
 
 
@@ -99,7 +98,7 @@ def test_bad_scalar_raises_value_error(name, bad):
         SCALAR_ENTRY_POINTS[name](bad)
 
 
-@pytest.mark.parametrize("bad", ["below", 2.5, 1e4, 3.0, "3", None])
+@pytest.mark.parametrize("bad", ["below", 2.5, 1e4, 3.0, "3", None, True])
 @pytest.mark.parametrize("name", INTEGER_FIELDS)
 def test_integer_field_is_checked_at_construction(name, bad):
     make, least = INTEGER_FIELDS[name]
@@ -114,6 +113,13 @@ def test_integer_field_takes_numpy_integers(name):
     make, least = INTEGER_FIELDS[name]
     for value in (np.int64(least), np.uint8(least + 1)):
         make(value)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["log_z", "log_prefactor"])
+def test_fox_h_ln_takes_finite_logs(name, bad):
+    with pytest.raises(ValueError, match=rf"^{name} must be finite, got {bad!r}$"):
+        fox_h_ln(SPEC, **{"log_z": 0.0, "log_prefactor": 0.0, name: bad})
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0])
@@ -228,8 +234,7 @@ class TestResponsibilities:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.5, 1.5])
     def test_entry_outside_the_unit_interval(self, bad):
         resp = np.array([0.2, 0.4, bad, 0.6])
-        for call in (lambda r: m_step_exp(self.SAMPLES, r), lambda r: m_step_gg(self.SAMPLES, r),
-                     update_omega):
+        for call in (lambda r: m_step_exp(self.SAMPLES, r), lambda r: m_step_gg(self.SAMPLES, r)):
             with pytest.raises(DataError) as info:
                 call(resp)
             assert info.value.index == 2
@@ -243,14 +248,10 @@ class TestResponsibilities:
         for call in (m_step_exp, m_step_gg):
             with pytest.raises(DataError, match="responsibilities of shape"):
                 call(self.SAMPLES, resp)
-        if len(resp) == 0:
-            with pytest.raises(DataError, match="need one or more"):
-                update_omega(resp)
 
     def test_bad_hint(self):
         with pytest.raises(ValueError, match="c_hint"):
             m_step_gg(self.SAMPLES, HALF, c_hint=math.nan)
 
     def test_the_bounds_are_valid(self):
-        assert update_omega([0.0, 1.0]) == 0.5
         assert m_step_exp(self.SAMPLES, [1.0, 1.0, 0.0, 0.0]) == 0.75

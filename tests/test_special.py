@@ -20,7 +20,7 @@ from uwoc.special import (
     _gk_nodes,
     _gk_panels,
     adaptive_quad,
-    fox_h,
+    fox_h_ln,
 )
 
 
@@ -144,7 +144,7 @@ class TestFoxHValues:
         spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((a, 1.0),))
         for z in np.logspace(-3, 2, 11):
             want = z**a * math.exp(-z)
-            got = fox_h(spec, z, self.CFG)
+            got = fox_h_ln(spec, math.log(z), self.CFG)
             assert got == pytest.approx(want, rel=1e-9)
             assert isinstance(got, Estimate)
             assert math.isfinite(got.error_bound) and got.error_bound >= 0.0
@@ -159,18 +159,22 @@ class TestFoxHValues:
         )
         for z in np.logspace(-3, 2, 11):
             want = sp.gammainc(a, z) * math.gamma(a)
-            assert fox_h(spec, z, self.CFG) == pytest.approx(want, rel=1e-9)
+            assert fox_h_ln(spec, math.log(z), self.CFG) == pytest.approx(want, rel=1e-9)
 
     def test_domain(self):
+        # each fails at once, before any panel: nan and +inf would subdivide or
+        # overflow, -inf would read as H = 0, and a nan prefactor as H = nan
         spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
-        with pytest.raises(ValueError):
-            fox_h(spec, -1.0)
+        for log_z, log_prefactor in [(math.nan, 0.0), (math.inf, 0.0), (-math.inf, 0.0), (0.0, math.nan)]:
+            bad = "log_z" if log_prefactor == 0.0 else "log_prefactor"
+            with pytest.raises(ValueError, match=f"^{bad} must be finite"):
+                fox_h_ln(spec, log_z, log_prefactor=log_prefactor)
 
     def test_truncation_failure_carries_estimate(self):
         spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
         cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-14, max_subdivisions=1)
         with pytest.raises(ConvergenceError) as err:
-            fox_h(spec, 1.0, cfg)
+            fox_h_ln(spec, 0.0, cfg)
         assert err.value.estimate is not None
 
 
