@@ -15,7 +15,6 @@ Exit codes: 0 success, 2 invalid input or flags, 3 numerical failure.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -105,6 +104,7 @@ def write_samples(path, values):
 
 
 def _input_digest(path):
+    import hashlib  # only fit and gof take a digest
     digest = hashlib.sha256()
     with open(path, "rb") as handle:
         for block in iter(lambda: handle.read(65536), b""):

@@ -52,7 +52,7 @@ CERTIFY_RTOL = 1e-6
 _DROP = 40.0
 _QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-8, max_subdivisions=400)
 # panel breaks at the peak and 2^(k/2) (k = 0..14) of its width to either side
-_BREAK_LADDER = np.concatenate([-(2.0 ** (np.arange(14, -1, -1) / 2.0)), [0.0], 2.0 ** (np.arange(15) / 2.0)])
+_BREAK_LADDER = [-(2.0 ** (k / 2.0)) for k in range(14, -1, -1)] + [0.0] + [2.0 ** (k / 2.0) for k in range(15)]
 _FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=2000)
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -316,7 +316,9 @@ def _ln_erfc_sqrt(s):
 def _ln_erfc_sqrt_array(s):
     """ln erfc(sqrt(x)) at x = e^s, for an array s (value only)."""
     x = np.exp(np.minimum(s, 709.0))
-    return np.where(s > 709.0, -np.inf, np.log(sp.erfcx(np.sqrt(x))) - x)
+    out = np.log(sp.erfcx(np.sqrt(x))) - x
+    out[s > 709.0] = -np.inf
+    return out
 
 
 def _ln_softplus(s):
@@ -334,8 +336,9 @@ def _ln_softplus(s):
 
 def _ln_softplus_array(s):
     """ln ln(1 + e^s) for an array s (value only)."""
-    mid = np.log(np.log1p(np.exp(np.clip(s, -36.0, 36.0))))
-    return np.where(s < -36.0, s, np.where(s > 36.0, np.log(np.maximum(s, 36.0)), mid))
+    out = np.log(np.log1p(np.exp(np.clip(s, -36.0, 36.0))))
+    np.copyto(out, s, where=s < -36.0)
+    return np.log(s, out=out, where=s > 36.0)
 
 
 _BER_KERNEL = (_ln_erfc_sqrt, _ln_erfc_sqrt_array)
@@ -440,7 +443,13 @@ def _log_integrand(a, s0, kappa, log_h):
 
 def _lobe_integrand(a, s0, kappa, f_star, log_h_array, t):
     """exp(L(t) - L*), the scaled integrand of :func:`_lobe_expectations`."""
-    return np.exp(a * t - np.exp(np.minimum(t, 709.0)) + log_h_array(s0 + kappa * t) - f_star)
+    out = a * t - np.exp(np.minimum(t, 709.0)) + log_h_array(s0 + kappa * t) - f_star
+    return np.exp(out, out=out)
+
+
+def _panel_breaks(t_star, root, t_lo, t_hi):
+    """A lobe's first-round breaks: t_lo, each t* + ``_BREAK_LADDER`` / root between, t_hi."""
+    return [t_lo, *[t for x in _BREAK_LADDER if t_lo < (t := t_star + x / root) < t_hi], t_hi]
 
 
 def _lobe_expectations(lobes, kernel):
@@ -461,16 +470,17 @@ def _lobe_expectations(lobes, kernel):
     steps in ln(L* - L) far below the level and in L near it, with false
     position where a step leaves the bracket (see :func:`_level_point`).
 
-    The searches run lobe by lobe.  The first round of panels of every lobe
-    then goes through one integrand call and one :func:`_gk_panels`, and each
-    lobe's own :func:`_gauss_kronrod` takes its slice of that round, stops or
-    splits by its own tolerance, and goes on alone.  The ladder is dense
+    The searches and breaks run lobe by lobe, in Python floats.  The first
+    round of panels of every lobe then goes through one integrand call and
+    one :func:`_gk_panels`, and each lobe's own :func:`_gauss_kronrod` takes
+    its slice of that round and stops, before any array of its panels is
+    built, or splits by its own tolerance and goes on alone.  The ladder is dense
     enough that over the ``curves`` grid about one lobe in seventeen goes on,
     nearly all of them the Generalized Gamma lobes of the strong-turbulence
     rows, whose side away from zero falls like a cliff.
     """
     log_h, log_h_array = kernel
-    params, scales, panels, tails = [], [], [], []
+    params, scales, panels, tails, lo, hi = [], [], [], [], [], []
     for log_w, a, s0, kappa in lobes:
         ell = _log_integrand(a, s0, kappa, log_h)
         t_star, f_star, d2 = _argmax(ell, a)
@@ -481,13 +491,15 @@ def _lobe_expectations(lobes, kernel):
         tails.append((math.exp(f_lo - f_star) / slope_lo if slope_lo > 0.0 else math.inf) + (
             math.exp(f_hi - f_star) / -slope_hi if slope_hi < 0.0 else math.inf
         ))
-        inner = t_star + _BREAK_LADDER / math.sqrt(max(-d2, 1e-12))
-        panels.append(np.concatenate(([t_lo], inner[(inner > t_lo) & (inner < t_hi)], [t_hi])))
+        breaks = _panel_breaks(t_star, math.sqrt(max(-d2, 1e-12)), t_lo, t_hi)
+        lo += breaks[:-1]
+        hi += breaks[1:]
+        panels.append(breaks)
         params.append((a, s0, kappa, f_star))
         scales.append(log_w + (f_star - sp.gammaln(a)))
-    counts = [breaks.size - 1 for breaks in panels]
-    lo = np.concatenate([breaks[:-1] for breaks in panels])
-    half = 0.5 * (np.concatenate([breaks[1:] for breaks in panels]) - lo)
+    counts = [len(breaks) - 1 for breaks in panels]
+    lo = np.array(lo)
+    half = 0.5 * (np.array(hi) - lo)
     # each panel's (a, s0, kappa, L*), as columns that broadcast over its 15 nodes
     columns = np.array(params).repeat(counts, axis=0).T[:, :, None]
     value, error = _gk_panels(_lobe_integrand(*columns, log_h_array, _gk_nodes(lo, half)), half)

@@ -150,7 +150,7 @@ _GK_HALF = np.array([
     0.207784955007898467600689403773245,
 ])
 _GK_NODES = np.concatenate([-_GK_HALF, [0.0], _GK_HALF[::-1]])
-_GK_UNIT = 0.5 * (1.0 + _GK_NODES)  # the nodes on [0, 1]
+_GK_SPAN = 1.0 + _GK_NODES  # the nodes on [0, 2]
 _K15 = np.array([
     0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
     0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
@@ -175,7 +175,7 @@ _ABSCISSA_GRID = 64
 
 def _gk_nodes(lo, half):
     """The 15 nodes of each panel (left end ``lo``, half-width ``half``), one row a panel."""
-    return lo[:, None] + 2.0 * half[:, None] * _GK_UNIT
+    return lo[:, None] + half[:, None] * _GK_SPAN
 
 
 def _gk_panels(fv, half):
@@ -207,7 +207,8 @@ def _gauss_kronrod(f, breaks, cfg: QuadratureConfig = DEFAULT_QUAD, first=None):
     there, elementwise; every new panel's nodes go through it in one call.  ``breaks`` (finite, increasing) seed
     the panels; ``first``, when given, is the (value, error) pair that
     :func:`_gk_panels` already returned for those panels, so a caller can
-    evaluate the first round of several integrals at once.  Each panel's error
+    evaluate the first round of several integrals at once; one that certifies
+    returns before ``f`` runs or any array of panels is built.  Each panel's error
     is QUADPACK's estimate (see :func:`_gk_panels`).  While the summed error
     exceeds max(abs_tol, rel_tol |total|), every panel whose error is over its
     share, by width, of that tolerance is bisected.  Returns an
@@ -215,16 +216,20 @@ def _gauss_kronrod(f, breaks, cfg: QuadratureConfig = DEFAULT_QUAD, first=None):
     and its bound once more than ``cfg.max_subdivisions`` panels would be in
     use.
     """
-    breaks = np.asarray(breaks, dtype=float)
-    span = breaks[-1] - breaks[0]
-    # every panel so far: its left end, half-width, integral and error
-    lo, half = breaks[:-1], 0.5 * (breaks[1:] - breaks[:-1])
-    value, error = _gk_panels(f(_gk_nodes(lo, half)), half) if first is None else first
+    if first is None:
+        edges = np.asarray(breaks, dtype=float)
+        half = 0.5 * (edges[1:] - edges[:-1])
+        return _gauss_kronrod(f, edges, cfg, _gk_panels(f(_gk_nodes(edges[:-1], half)), half))
+    value, error = first
+    lo = None  # every panel so far: its left end, half-width, integral and error
     while True:
         total, bound = float(value.sum()), float(error.sum())
         tol = max(cfg.abs_tol, cfg.rel_tol * abs(total))
         if bound <= tol:
             return Estimate(total, bound)
+        if lo is None:  # the first split lays out the seed panels
+            breaks = np.asarray(breaks, dtype=float)
+            lo, half, span = breaks[:-1], 0.5 * (breaks[1:] - breaks[:-1]), breaks[-1] - breaks[0]
         # the shares sum to tol, so some panel is over its share, up to rounding
         split = error > tol * 2.0 * half / span
         if not split.any():
@@ -348,6 +353,9 @@ def _contour_abscissa(spec: FoxHSpec, log_z: float) -> float:
         grid = lo + steps if math.isfinite(lo) else hi - steps[::-1]
     else:
         return 0.0
+    # c log z stays in range; past the cap every |log z| picks the same end of the grid
+    cap = 1e300 / max(abs(grid[0]), abs(grid[-1]), 1.0)
+    log_z = min(max(log_z, -cap), cap)
 
     def height(c):
         return spec.log_kernel(c + 0j).real - c * log_z
@@ -387,6 +395,9 @@ def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
     top = float(log_integrand(0.0).real)
     if top + log_prefactor > 700.0:
         raise ConvergenceError("Mellin-Barnes integrand overflow", estimate=None)
+    scale = math.exp(top + log_prefactor) / math.pi
+    if scale == 0.0:  # scaled, the integrand is 1 at t = 0: H is below the double range
+        return Estimate(0.0, 0.0)
 
     def integrand(t):
         w = log_integrand(t)
@@ -404,10 +415,6 @@ def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
     while log_integrand(breaks[-1]).real > top - _FOXH_DROP:
         width = min(2.0 * width, 16.0 * half_width)
         breaks.append(breaks[-1] + width)
-
-    scale = math.exp(top + log_prefactor) / math.pi
-    if scale == 0.0:  # scaled, the integrand is 1 at t = 0: H is below the double range
-        return Estimate(0.0, 0.0)
     try:
         est = _gauss_kronrod(integrand, breaks, cfg)
     except ConvergenceError as exc:

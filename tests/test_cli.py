@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -138,6 +139,21 @@ class TestImport:
             assert not loaded & SPECIAL_PACKAGE, (argv[0], loaded & SPECIAL_PACKAGE)
         assert _loaded_scipy(RUN_CLI, "uwoc", "synth", "--params", ROW1, "--n", "100",
                              "--output", out) == set()
+
+    def test_only_the_input_digest_loads_hashlib(self, tmp_path, small_fit):
+        # fit and gof take a digest of their input; import and perf load no hashlib
+        samples, report = small_fit
+        out = tmp_path / "out.json"
+        assert "hashlib" not in _loaded_modules("import uwoc.cli")
+        assert "hashlib" not in _loaded_modules(
+            RUN_CLI, "uwoc", "perf", "ber", "--params", SALTY165, "--detection", "imdd",
+            "--modulation", "ook", "--snr-db", "0:40:10", "--output", str(out))
+        assert len(out.read_text().splitlines()) == 1 + 5
+        digest = hashlib.sha256(samples.read_bytes()).hexdigest()
+        assert json.loads(report.read_text())["input_digest"] == digest
+        assert run(["gof", "--input", str(samples), "--report", str(report),
+                    "--output", str(out)]) == 0
+        assert json.loads(out.read_text())["input_digest"] == digest
 
     def test_each_command_loads_only_its_own_modules(self, tmp_path, small_fit):
         samples, report = small_fit

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import special as sp
 from scipy.optimize import brentq
@@ -611,6 +611,22 @@ class TestOneFirstRound:
         else:
             avg_ber(link, modulation)
         return len(rounds)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(t_star=st.floats(-60.0, 60.0),
+           log_curvature=st.floats(math.log(1e-12), math.log(1e12)),
+           rungs_lo=st.floats(-3.0, 10.0),
+           rungs_hi=st.floats(-3.0, 10.0))
+    def test_breaks_as_floats_match_the_array_build(self, t_star, log_curvature, rungs_lo, rungs_hi):
+        # ends rungs_lo and rungs_hi ladder steps of 2^(1/2) out from the peak
+        root = math.sqrt(math.exp(log_curvature))
+        t_lo, t_hi = t_star - 2.0 ** (rungs_lo / 2.0) / root, t_star + 2.0 ** (rungs_hi / 2.0) / root
+        assume(t_lo < t_star < t_hi)
+        inner = t_star + np.array(performance._BREAK_LADDER) / root
+        want = np.concatenate(([t_lo], inner[(inner > t_lo) & (inner < t_hi)], [t_hi]))
+        got = performance._panel_breaks(t_star, root, t_lo, t_hi)
+        assert all(type(t) is float for t in got)
+        assert [t.hex() for t in got] == [t.hex() for t in want.tolist()]
 
     def test_one_panel_round_for_all_lobes(self, monkeypatch):
         # 8-PSK has two kernel terms, each over both lobes: four integrals

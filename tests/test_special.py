@@ -108,6 +108,18 @@ class TestGaussKronrod:
         assert float(own).hex() == float(given).hex()
         assert own.error_bound == given.error_bound
 
+    def test_certifying_first_round_calls_nothing(self):
+        # a given first round that certifies is summed and returned before f is
+        # called or any array of panels is built
+        def f(t):
+            raise AssertionError("f called")
+
+        value, error = np.array([0.25, 0.5, 0.125, 1e-3]), np.array([1e-15, 2e-15, 1e-16, 3e-17])
+        est = _gauss_kronrod(f, [0.0, 1.0, 2.0, 3.0, 4.0], first=(value, error))
+        assert isinstance(est, Estimate)
+        assert float(est).hex() == float(value.sum()).hex()
+        assert est.error_bound.hex() == float(error.sum()).hex()
+
 
 class TestFoxHSpec:
     def test_order_validation(self):
@@ -169,6 +181,24 @@ class TestFoxHValues:
             bad = "log_z" if log_prefactor == 0.0 else "log_prefactor"
             with pytest.raises(ValueError, match=f"^{bad} must be finite"):
                 fox_h_ln(spec, log_z, log_prefactor=log_prefactor)
+
+    def test_underflow_returns_before_the_panels(self, monkeypatch):
+        # H = z e^-z is below the double range at ln z = 1e4: zero after the
+        # abscissa search and the height at t = 0, with no panel laid out
+        spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
+        calls, log_kernel = [], FoxHSpec.log_kernel
+        monkeypatch.setattr(FoxHSpec, "log_kernel", lambda self, s: calls.append(s) or log_kernel(self, s))
+        est = fox_h_ln(spec, 1e4)
+        assert (est, est.error_bound) == (0.0, 0.0)
+        assert len(calls) <= 3
+
+    def test_huge_log_z_does_not_warn(self):
+        # c ln z of the abscissa search would overflow on its grid
+        spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = fox_h_ln(spec, 1e300)
+        assert (est, est.error_bound) == (0.0, 0.0)
 
     def test_truncation_failure_carries_estimate(self):
         spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
