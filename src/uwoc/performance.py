@@ -12,7 +12,8 @@ integrand call, which certifies almost every lobe), the parts are
 summed in log space, and the value is returned only when the error bound of
 the total is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).
 Values below the double range therefore come back certified as 0.0 or
-subnormal.
+subnormal.  A lobe with a = 1 and kappa = r/c of 1 or 2 skips the quadrature
+for a closed form (:func:`_ber_exponential`, :func:`_capacity_exponential`).
 The route needs numpy and the compiled ufuncs of ``scipy.special`` only.
 :func:`avg_ber` and :func:`ergodic_capacity` return its value.  The paper's
 Fox H closed forms, :func:`avg_ber_foxh` and :func:`capacity_foxh`, are the
@@ -20,10 +21,9 @@ tests' oracle for it, their contour integrals on the same Gauss-Kronrod
 panels, and every metric has a high-SNR asymptote in elementary functions.
 
 The exponential lobe omega/lambda e^(-I/lambda) is the Generalized Gamma
-lobe GG(a = 1, b = lambda, c = 1), so every closed form, asymptote and the
-quadrature route evaluate one GG-lobe term per lobe present (see
-:func:`_lobes`); there is no separate exponential formula and no Meijer G
-special case for c = 1.
+lobe GG(a = 1, b = lambda, c = 1), so every Fox H closed form and asymptote
+evaluates one GG-lobe term per lobe present (see :func:`_lobes`), with no
+Meijer G special case for c = 1, and the certified route a closed form.
 """
 
 from __future__ import annotations
@@ -56,6 +56,7 @@ _BREAK_LADDER = [-(2.0 ** (k / 2.0)) for k in range(14, -1, -1)] + [0.0] + [2.0 
 _FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=2000)
 
 _SQRT_PI = math.sqrt(math.pi)
+_EPS = math.ulp(1.0)
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def outage(link: LinkBudget):
 
 
 # ---------------------------------------------------------------------------
-# Quadrature route (independent of the closed forms)
+# Certified route (independent of the Fox H closed forms)
 # ---------------------------------------------------------------------------
 
 def _ln_erfc_sqrt(s):
@@ -343,6 +344,55 @@ def _ln_softplus_array(s):
 
 _BER_KERNEL = (_ln_erfc_sqrt, _ln_erfc_sqrt_array)
 _CAPACITY_KERNEL = (_ln_softplus, _ln_softplus_array)
+
+
+def _ber_exponential(s0, kappa):
+    """E[erfc(sqrt(e^s0 U^kappa))] for U ~ Exp(1) and kappa = 1 or 2, in
+    closed form, as (log scale, value, bound) with bound = 8 eps value.
+
+    kappa = 1: 1 / (sqrt(1 + m) (sqrt(1 + m) + sqrt(m))) at m = e^s0.
+    kappa = 2: 1 - erfcx(z) at z = e^(-s0/2) / 2, which below z = 0.7 is
+    e^(z^2) erf(z) - expm1(z^2), the form with less cancellation there.
+    """
+    if kappa == 1.0:  # scaled by 1 / max(m, 1): root = sqrt(1 + min(m, 1/m))
+        root = math.sqrt(1.0 + math.exp(-abs(s0)))
+        scale, value = -max(s0, 0.0), 1.0 / (root * (root + math.exp(0.5 * min(s0, 0.0))))
+    elif (z := 0.5 * math.exp(min(-0.5 * s0, 700.0))) >= 0.7:
+        scale, value = 0.0, 1.0 - float(sp.erfcx(z))
+    else:
+        z = max(z, 1e-20)  # below it the value is 1/sqrt(pi) - z to double precision
+        scale, value = -0.5 * s0, (math.exp(z * z) * float(sp.erf(z)) - math.expm1(z * z)) / (2.0 * z)
+    return scale, value, 8.0 * _EPS * value
+
+
+def _capacity_exponential(s0, kappa):
+    """E[ln(1 + e^s0 U^kappa)] for U ~ Exp(1) and kappa = 1 or 2, in closed
+    form, as (log scale, value, bound) with bound = 8 eps value.
+
+    kappa = 1: e^y E1(y) at y = e^-s0.  kappa = 2: 2 Re[e^(i beta) E1(i beta)]
+    at beta = e^(-s0/2), by Ci and Si up to beta = 1 and beyond by the
+    continued fraction e^z E1(z) = 1/(z + 1 - 1/(z + 3 - 4/(z + 5 - ...))),
+    free of their cancellation.  Far below m = e^s0 = 1, the moments' series
+    sum (-1)^(n+1) (kappa n)! m^n / n to n = 24 (the next term < 2e-18 m).
+    """
+    scale = 0.0
+    if s0 > 700.0 * kappa:  # -ln y - gamma, or -2 ln beta - 2 gamma, to double precision
+        value = s0 - kappa * np.euler_gamma
+    elif s0 < -4.0 * kappa:
+        k, m, scale = int(kappa), math.exp(s0), s0
+        value = sum((-1) ** (n + 1) * math.factorial(k * n) / n * m ** (n - 1) for n in range(24, 0, -1))
+    elif kappa == 1.0:
+        y = math.exp(-s0)
+        value = math.exp(y) * float(sp.exp1(y))
+    elif (beta := math.exp(-0.5 * s0)) <= 1.0:
+        si, ci = map(float, sp.sici(beta))
+        value = -2.0 * (ci * math.cos(beta) + (si - 0.5 * math.pi) * math.sin(beta))
+    else:
+        d = 1j * beta + 2 * (depth := int(200.0 / beta) + 8) + 1
+        for k in range(depth, 0, -1):
+            d = 1j * beta + (2 * k - 1) - k * k / d
+        value = 2.0 * (1.0 / d).real
+    return scale, value, 8.0 * _EPS * value
 
 
 def _argmax(ell, a):
@@ -475,7 +525,7 @@ def _lobe_expectations(lobes, kernel):
     one :func:`_gk_panels`, and each lobe's own :func:`_gauss_kronrod` takes
     its slice of that round and stops, before any array of its panels is
     built, or splits by its own tolerance and goes on alone.  The ladder is dense
-    enough that over the ``curves`` grid about one lobe in seventeen goes on,
+    enough that over the ``curves`` grid about one lobe in nine goes on,
     nearly all of them the Generalized Gamma lobes of the strong-turbulence
     rows, whose side away from zero falls like a cliff.
     """
@@ -516,19 +566,29 @@ def _lobe_expectations(lobes, kernel):
     return out
 
 
-def _certified_expectation(link: LinkBudget, terms, kernel):
+def _certified_expectation(link: LinkBudget, terms, kernel, exponential):
     """sum_k w_k E[h(s_k + r ln I)] over the fading mixture, certified.
 
-    ``terms`` holds (ln w_k, s_k) pairs.  Every lobe of every term is scaled
-    by its own peak, all of them in one :func:`_lobe_expectations` call; the
+    ``terms`` holds (ln w_k, s_k) pairs.  A lobe with a = 1 and kappa = r/c
+    of 1 or 2, every exponential lobe among them, goes to the closed form
+    ``exponential(s0, kappa)``; every other lobe of every term is scaled by
+    its own peak, all of them in one :func:`_lobe_expectations` call.  The
     parts are summed in log space and the summed error bound is tested
     against ``CERTIFY_RTOL`` of the summed value.  Returns an
     :class:`Estimate`, which is 0.0 or subnormal when the value lies below
     the double range, or raises :class:`ConvergenceError`.
     """
-    r, lobes = link.r, _lobes(link.params)
-    parts = _lobe_expectations([(log_w + log_weight, a, s + r * log_b, r / c)
-                                for log_w, s in terms for log_weight, a, log_b, c in lobes], kernel)
+    r, parts, rest = link.r, [], []
+    for log_w, s in terms:
+        for log_weight, a, log_b, c in _lobes(link.params):
+            log_w_lobe, s0, kappa = log_w + log_weight, s + r * log_b, r / c
+            if a == 1.0 and kappa in (1.0, 2.0):
+                scale, value, bound = exponential(s0, kappa)
+                parts.append((log_w_lobe + scale, value, bound))
+            else:
+                rest.append((log_w_lobe, a, s0, kappa))
+    if rest:
+        parts += _lobe_expectations(rest, kernel)
     top = max(scale for scale, _, _ in parts)
     total = sum(math.exp(scale - top) * value for scale, value, _ in parts)
     bound = sum(math.exp(scale - top) * b for scale, _, b in parts)
@@ -554,7 +614,7 @@ def avg_ber_quadrature(link: LinkBudget, modulation: Modulation):
     log_w = math.log(0.5 * delta)
     log_mu = math.log(link.mu_r)
     return _certified_expectation(
-        link, [(log_w, math.log(qk) + log_mu) for qk in q], _BER_KERNEL
+        link, [(log_w, math.log(qk) + log_mu) for qk in q], _BER_KERNEL, _ber_exponential
     )
 
 
@@ -565,7 +625,7 @@ def capacity_quadrature(link: LinkBudget):
     :class:`ConvergenceError` when the bound exceeds ``CERTIFY_RTOL`` of it.
     """
     log_tau_mu = math.log(CAPACITY_TAU) + math.log(link.mu_r)
-    return _certified_expectation(link, [(0.0, log_tau_mu)], _CAPACITY_KERNEL)
+    return _certified_expectation(link, [(0.0, log_tau_mu)], _CAPACITY_KERNEL, _capacity_exponential)
 
 
 def avg_ber(link: LinkBudget, modulation: Modulation):

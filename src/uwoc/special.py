@@ -349,7 +349,7 @@ def _contour_abscissa(spec: FoxHSpec, log_z: float) -> float:
         grid = np.concatenate([lo + steps, hi - steps[-2::-1]])  # the midpoint once
     elif math.isfinite(lo) or math.isfinite(hi):
         reach = 10.0 + 3.0 * math.exp(min(abs(log_z), 25.0))
-        steps = np.geomspace(1e-10, 1.0, _ABSCISSA_GRID) * reach
+        steps = np.geomspace(1e-10, reach, _ABSCISSA_GRID)
         grid = lo + steps if math.isfinite(lo) else hi - steps[::-1]
     else:
         return 0.0

@@ -3,6 +3,7 @@ import math
 import os
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,7 +12,7 @@ from scipy import special as sp
 from scipy.optimize import brentq
 
 from uwoc import performance, special
-from uwoc.distributions import EggParams
+from uwoc.distributions import WEIGHT_EPS, EggParams
 from uwoc.errors import ConvergenceError
 from uwoc.performance import (
     CAPACITY_TAU,
@@ -668,8 +669,9 @@ class TestOneFirstRound:
             for modulation in (Modulation.bpsk(), Modulation.mqam(16), Modulation.mpsk(8)):
                 avg_ber(het, modulation)
             ergodic_capacity(het)
-        # eight kernel terms a row, each over two lobes but one on the two *-0lpm rows
-        assert len(refined) == 16 * 8 * 2 + 2 * 8
+        # eight kernel terms a row, each over its GG lobe: the exponential
+        # lobe has a closed form, and the two *-0lpm rows have no other
+        assert len(refined) == 18 * 8
         assert sum(refined) <= 33
 
 
@@ -866,6 +868,105 @@ class TestExponentialLobe:
                 assert got == pytest.approx(ber, rel=1e-10, abs=0.0), (lam, snr_db)
             for got in (capacity_foxh(link), float(capacity_quadrature(link))):
                 assert got == pytest.approx(capacity, rel=1e-10, abs=0.0), (lam, snr_db)
+
+
+def _closed_form_oracle(metric, s0, kappa):
+    """E[h(s0 + kappa ln U)] for U ~ Exp(1), in 40-digit mpmath."""
+    with mp.workdps(40):
+        s0 = mp.mpf(s0)
+        m = mp.exp(s0)
+        if metric == "ber" and kappa == 1.0:
+            return 1 / (mp.sqrt(1 + m) * (mp.sqrt(1 + m) + mp.sqrt(m)))
+        if metric == "ber":
+            z = mp.exp(-s0 / 2) / 2
+            return 1 - mp.exp(z * z) * mp.erfc(z)
+        if kappa == 1.0:
+            return mp.exp(1 / m) * mp.e1(1 / m)
+        beta = mp.exp(-s0 / 2)
+        return 2 * mp.re(mp.exp(1j * beta) * mp.e1(1j * beta))
+
+
+def _no_quadrature(*args, **kwargs):
+    raise AssertionError("a lobe with a closed form went to the quadrature")
+
+
+CLOSED_FORMS = [(performance._ber_exponential, performance._BER_KERNEL, "ber"),
+                (performance._capacity_exponential, performance._CAPACITY_KERNEL, "capacity")]
+# s0 over [-60, 60], denser over [-4, 4], and each switch between the forms' branches
+CLOSED_FORM_S0 = sorted({*np.linspace(-60.0, 60.0, 121).tolist(), *np.linspace(-4.0, 4.0, 81).tolist(),
+                         -8.0, 2.0 * math.log(1 / 1.4)})
+
+
+class TestExponentialClosedForms:
+    """The closed forms of a lobe with a = 1 and kappa = 1 or 2, which the
+    certified route takes instead of its quadrature."""
+
+    @pytest.mark.parametrize("form, kernel, metric", CLOSED_FORMS)
+    @pytest.mark.parametrize("kappa", [1.0, 2.0])
+    def test_within_the_stated_bound_of_mpmath(self, form, kernel, metric, kappa):
+        for s0 in CLOSED_FORM_S0:
+            scale, value, bound = form(s0, kappa)
+            assert 0.0 < bound <= 8.0 * np.finfo(float).eps * value, s0
+            want = _closed_form_oracle(metric, s0, kappa)
+            with mp.workdps(40):
+                assert abs(mp.exp(scale) * value - want) <= mp.exp(scale) * bound, s0
+
+    @pytest.mark.parametrize("mode, modulation", [
+        (IMDD, Modulation.ook()), (IMDD, None), (HETERODYNE, Modulation.bpsk()),
+        (HETERODYNE, Modulation.mqam(16)), (HETERODYNE, Modulation.mpsk(8)), (HETERODYNE, None),
+    ])
+    def test_match_the_quadrature_on_the_fitted_rows(self, mode, modulation):
+        form, kernel = ((performance._capacity_exponential, performance._CAPACITY_KERNEL)
+                        if modulation is None else (performance._ber_exponential, performance._BER_KERNEL))
+        # the 16 rows with an exponential lobe
+        for cond in (cond for cond in ALL_CONDITIONS if cond.egg.omega >= WEIGHT_EPS):
+            for snr_db in (-10.0, 20.0, 50.0, 80.0):
+                log_mu = math.log(LinkBudget(cond.egg, mode, db(snr_db)).mu_r)
+                shifts = ([math.log(CAPACITY_TAU)] if modulation is None
+                          else [math.log(qk) for qk in modulation_params(modulation)[2]])
+                for shift in shifts:
+                    s0, kappa = shift + log_mu + mode.r * math.log(cond.egg.lam), float(mode.r)
+                    scale, value, _ = form(s0, kappa)
+                    q_scale, q_value, _ = performance._lobe_expectations([(0.0, 1.0, s0, kappa)], kernel)[0]
+                    got = value * math.exp(scale - q_scale)
+                    assert got == pytest.approx(q_value, rel=1e-12), (cond.label, snr_db, shift)
+
+    @pytest.mark.parametrize("c", [0.5, 1.0, 2.0])
+    def test_a_unit_gg_lobe_matches_fox_h(self, monkeypatch, c):
+        # with a = 1, kappa = r/c is 1 or 2 for both receivers at c = 1, and
+        # for one of them at c = 0.5 and c = 2: both lobes take the closed form
+        params = EggParams(0.3, 0.4, 1.0, 1.7, c)
+        monkeypatch.setattr(performance, "_lobe_expectations", _no_quadrature)
+        for mode, modulations in ((IMDD, [Modulation.ook()]),
+                                  (HETERODYNE, [Modulation.bpsk(), Modulation.mqam(16)])):
+            if mode.r / c not in (1.0, 2.0):
+                continue
+            for snr_db in (-10.0, 20.0, 50.0, 80.0):
+                link = LinkBudget(params, mode, db(snr_db))
+                for modulation in modulations:
+                    assert_crosscheck(lambda: avg_ber_quadrature(link, modulation),
+                                      lambda: avg_ber_foxh(link, modulation), (c, mode.r, snr_db))
+                assert_crosscheck(lambda: capacity_quadrature(link), lambda: capacity_foxh(link),
+                                  (c, mode.r, snr_db))
+
+    @pytest.mark.parametrize("s0", [-1500.0, -800.0, 800.0, 1500.0])
+    def test_far_arguments_are_finite(self, s0):
+        # (form, kappa, scale, value) of each form's limit: BER e^-s0 / 2 and
+        # 1/sqrt(pi m) far above m = 1 and 1 far below, capacity s0 - kappa
+        # gamma far above and kappa! m far below
+        ber, capacity, gamma = performance._ber_exponential, performance._capacity_exponential, np.euler_gamma
+        limits = [
+            (ber, 1.0, *((-s0, 0.5) if s0 > 0 else (0.0, 1.0))),
+            (ber, 2.0, *((-0.5 * s0, 1.0 / math.sqrt(math.pi)) if s0 > 0 else (0.0, 1.0))),
+            (capacity, 1.0, *((0.0, s0 - gamma) if s0 > 0 else (s0, 1.0))),
+            (capacity, 2.0, *((0.0, s0 - 2.0 * gamma) if s0 > 0 else (s0, 2.0))),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for form, kappa, want_scale, want in limits:
+                scale, value, bound = form(s0, kappa)
+                assert all(map(math.isfinite, (scale, value, bound))), (form, kappa)
+                assert scale == want_scale and value == pytest.approx(want, rel=1e-15), (form, kappa)
 
 
 class TestCapacityAsymptotic:

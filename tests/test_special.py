@@ -200,6 +200,17 @@ class TestFoxHValues:
             est = fox_h_ln(spec, 1e300)
         assert (est, est.error_bound) == (0.0, 0.0)
 
+    @pytest.mark.parametrize("log_z", [-24.0, -26.0, -30.0, -40.0])
+    def test_half_infinite_strip_at_small_z(self, log_z):
+        # the abscissa grid starts 1e-10 from the pole wall at s = -1, not
+        # 1e-10 of its reach (about 8 at ln z = -24, where H read 2.5e63)
+        spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
+        z = math.exp(log_z)
+        want = z * math.exp(-z)
+        est = fox_h_ln(spec, log_z)
+        assert est == pytest.approx(want, rel=1e-9)
+        assert abs(est - want) <= est.error_bound
+
     def test_truncation_failure_carries_estimate(self):
         spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
         cfg = QuadratureConfig(abs_tol=1e-300, rel_tol=1e-14, max_subdivisions=1)
