@@ -6,9 +6,9 @@ evaluates outage probability, average bit error rate, and ergodic capacity.
 Outage comes from the incomplete-gamma closed form.  BER and capacity have
 one production route, a certified quadrature: each lobe's expectation is
 integrated in t = ln U around the peak of its concave log-integrand, on
-vectorized Gauss-Kronrod panels seeded at the peak and a sqrt(2) ladder of
-its width (the first round of panels of all of a point's lobes in one
-integrand call, which certifies almost every lobe), the parts are
+vectorized Gauss-Kronrod panels seeded at a sqrt(2) ladder of widths out to
+each end from the peak, and from a steep end (the first round of panels of all
+of a point's lobes in one integrand call, certifying nearly all), the parts are
 summed in log space, and the value is returned only when the error bound of
 the total is at most ``CERTIFY_RTOL`` of it (else :class:`ConvergenceError`).
 Values below the double range therefore come back certified as 0.0 or
@@ -51,8 +51,10 @@ CERTIFY_RTOL = 1e-6
 # log-integrand has fallen this far below its peak
 _DROP = 40.0
 _QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-8, max_subdivisions=400)
-# panel breaks at the peak and 2^(k/2) (k = 0..14) of its width to either side
-_BREAK_LADDER = [-(2.0 ** (k / 2.0)) for k in range(14, -1, -1)] + [0.0] + [2.0 ** (k / 2.0) for k in range(15)]
+# panel breaks 2^(k/2) (k < _RUNGS) widths out from the peak to each end (see _rung_count),
+# and from an end over _STEEP times as curved as the peak, its own widths (_panel_breaks)
+_RUNGS, _STEEP = 80, 1024.0
+_BREAK_LADDER = [-(2.0 ** (k / 2.0)) for k in range(_RUNGS - 1, -1, -1)] + [0.0] + [2.0 ** (k / 2.0) for k in range(_RUNGS)]
 _FOXH_QUAD = QuadratureConfig(abs_tol=1e-30, rel_tol=1e-12, max_subdivisions=2000)
 
 _SQRT_PI = math.sqrt(math.pi)
@@ -435,7 +437,7 @@ def _argmax(ell, a):
 
 def _level_point(ell, t_star, target, step, direction):
     """A point on one side of the peak where the concave ``ell`` is at most
-    ``target`` (and within one unit of it), with ell and its slope there.
+    ``target`` (and within one unit of it), with ell, ell' and ell'' there.
 
     The first probe is ``step`` from the peak t*; from a probe inside the
     level set the next is the farther of the doubled probe and the tangent
@@ -450,7 +452,7 @@ def _level_point(ell, t_star, target, step, direction):
     inner, f_in = t_star, target + _DROP
     t = t_star + direction * step
     for _ in range(100):
-        f, d1, _ = ell(t)
+        f, d1, d2 = ell(t)
         if f <= target:
             break
         inner, f_in, t = t, f, 2.0 * t - t_star
@@ -472,12 +474,12 @@ def _level_point(ell, t_star, target, step, direction):
                 nxt = t + (inner - t) * phi / (phi - phi_in)
             if not (min(inner, t) < nxt < max(inner, t)):
                 nxt = 0.5 * (inner + t)
-        g, g1, _ = ell(nxt)
+        g, g1, g2 = ell(nxt)
         if g > target:
             inner, f_in, run = nxt, g, run + 1
         else:
-            t, f, d1, run = nxt, g, g1, 0
-    return t, f, d1
+            t, f, d1, d2, run = nxt, g, g1, g2, 0
+    return t, f, d1, d2
 
 
 def _log_integrand(a, s0, kappa, log_h):
@@ -497,9 +499,35 @@ def _lobe_integrand(a, s0, kappa, f_star, log_h_array, t):
     return np.exp(out, out=out)
 
 
-def _panel_breaks(t_star, root, t_lo, t_hi):
-    """A lobe's first-round breaks: t_lo, each t* + ``_BREAK_LADDER`` / root between, t_hi."""
-    return [t_lo, *[t for x in _BREAK_LADDER if t_lo < (t := t_star + x / root) < t_hi], t_hi]
+def _rung_count(span):
+    """2 e + (m > sqrt(1/2)) for 1 + span = m 2^e, one more than the rungs 2^(k/2) short of 1 + span:
+    every rung short of an end ``span`` widths away, and one that rounds onto it, is among them."""
+    m, e = math.frexp(1.0 + span)
+    return 2 * e + (m > 0.7071067811865476)
+
+
+def _panel_breaks(t_star, t_lo, t_hi, curv, curv_lo, curv_hi):
+    """A lobe's first-round breaks: t_lo, t* + ``_BREAK_LADDER`` / sqrt(curv) out to each end, t_hi,
+    with curv, curv_lo and curv_hi -L'' at t*, t_lo and t_hi.  An end over ``_STEEP`` times as curved
+    as t* takes the half of its side nearer it with t_end -+ 2^(k/2) / sqrt(curv_end): a ladder's
+    breaks lie about 0.4 times their distance from its origin apart, so each half keeps the finer."""
+    curv = max(curv, 1e-12)
+    root, lo_end, hi_end, mid_lo, mid_hi = math.sqrt(curv), (), (), t_lo, t_hi
+    if curv_lo > _STEEP * curv:
+        mid_lo, root_lo = 0.5 * (t_lo + t_star), math.sqrt(curv_lo)
+        lo_end = [t for x in _BREAK_LADDER[_RUNGS + 1:_RUNGS + 1 + _rung_count((mid_lo - t_lo) * root_lo)]
+                  if (t := t_lo + x / root_lo) < mid_lo]
+    if curv_hi > _STEEP * curv:
+        mid_hi, root_hi = 0.5 * (t_star + t_hi), math.sqrt(curv_hi)
+        hi_end = [t for x in _BREAK_LADDER[_RUNGS + _rung_count((t_hi - mid_hi) * root_hi):_RUNGS:-1]
+                  if mid_hi < (t := t_hi - x / root_hi)]
+    first, last = _RUNGS - _rung_count((t_star - mid_lo) * root), _RUNGS + 1 + _rung_count((mid_hi - t_star) * root)
+    inner = [t_star + x / root for x in _BREAK_LADDER[first:last]]
+    while not inner[0] > mid_lo:
+        del inner[0]
+    while not inner[-1] < mid_hi:
+        inner.pop()
+    return [t_lo, *lo_end, *inner, *hi_end, t_hi]
 
 
 def _lobe_expectations(lobes, kernel):
@@ -512,8 +540,9 @@ def _lobe_expectations(lobes, kernel):
     log-integrand L(t) = a t - e^t + ln h(s0 + kappa t) - ln Gamma(a) is
     concave for the BER and capacity kernels.  It is integrated as
     exp(L - L*) on Gauss-Kronrod panels between the points where it has
-    fallen ``_DROP`` below its peak L*, with breaks at t* +- w 2^(k/2)
-    (k = 0..14, w = 1/sqrt(-L''(t*))); concavity bounds each tail beyond by
+    fallen ``_DROP`` below its peak L*, with breaks at t* +- w 2^(k/2) out to
+    each end (w = 1/sqrt(-L''(t*)); see :func:`_panel_breaks` for a steep end);
+    concavity bounds each tail beyond by
     exp(L - L*) / |L'| there.  The peak is found by Newton steps in
     ln N - ln P, where L' = P - N splits into its positive and negative
     parts; each end by a probe that steps past the tangent point, then Newton
@@ -524,10 +553,9 @@ def _lobe_expectations(lobes, kernel):
     round of panels of every lobe then goes through one integrand call and
     one :func:`_gk_panels`, and each lobe's own :func:`_gauss_kronrod` takes
     its slice of that round and stops, before any array of its panels is
-    built, or splits by its own tolerance and goes on alone.  The ladder is dense
-    enough that over the ``curves`` grid about one lobe in nine goes on,
-    nearly all of them the Generalized Gamma lobes of the strong-turbulence
-    rows, whose side away from zero falls like a cliff.
+    built, or splits by its own tolerance and goes on alone.  Over the
+    ``curves`` grid 11 of 1440 lobe integrals go on, each for one round: the
+    e^t cliff of a strong-turbulence GG lobe gets the ladder of its own end.
     """
     log_h, log_h_array = kernel
     params, scales, panels, tails, lo, hi = [], [], [], [], [], []
@@ -536,12 +564,12 @@ def _lobe_expectations(lobes, kernel):
         t_star, f_star, d2 = _argmax(ell, a)
         target = f_star - _DROP
         step = math.sqrt(2.0 * _DROP / max(-d2, 1e-12))
-        t_lo, f_lo, slope_lo = _level_point(ell, t_star, target, step, -1.0)
-        t_hi, f_hi, slope_hi = _level_point(ell, t_star, target, step, 1.0)
+        t_lo, f_lo, slope_lo, d2_lo = _level_point(ell, t_star, target, step, -1.0)
+        t_hi, f_hi, slope_hi, d2_hi = _level_point(ell, t_star, target, step, 1.0)
         tails.append((math.exp(f_lo - f_star) / slope_lo if slope_lo > 0.0 else math.inf) + (
             math.exp(f_hi - f_star) / -slope_hi if slope_hi < 0.0 else math.inf
         ))
-        breaks = _panel_breaks(t_star, math.sqrt(max(-d2, 1e-12)), t_lo, t_hi)
+        breaks = _panel_breaks(t_star, t_lo, t_hi, -d2, -d2_lo, -d2_hi)
         lo += breaks[:-1]
         hi += breaks[1:]
         panels.append(breaks)

@@ -423,5 +423,7 @@ def fox_h_ln(spec: FoxHSpec, log_z: float, cfg: QuadratureConfig = DEFAULT_QUAD,
             estimate=scale * exc.estimate,
             error_bound=scale * exc.error_bound,
         ) from exc
-    return Estimate(scale * est, scale * est.error_bound)
+    # plus the rounding of exp(top + log_prefactor), about |ln H| eps relative, of a subnormal scale and of H
+    rounding = 4.0 * (abs(top + log_prefactor) + 1.0) * _EPS * abs(scale * est) + math.ulp(scale) * abs(est)
+    return Estimate(scale * est, scale * est.error_bound + rounding + math.ulp(scale * est))
 

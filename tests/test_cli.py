@@ -81,6 +81,14 @@ class TestImport:
         assert _loaded_scipy("import uwoc") == set()
         assert _loaded_scipy("import uwoc.cli") == set()
 
+    def test_cli_import_loads_only_its_own_modules(self):
+        # the benchmark's setup_s times exactly this import: no performance
+        # code, no quadrature and no scipy until a command runs
+        loaded = _loaded_modules("import uwoc.cli")
+        assert {m for m in loaded if m.split(".")[0] == "uwoc"} == {
+            "uwoc", "uwoc.cli", "uwoc.distributions", "uwoc.errors", "uwoc.special"}
+        assert not {m for m in loaded if m.split(".")[0] == "scipy"}
+
     def test_exports_are_the_one_list_of_public_names(self):
         import importlib
 

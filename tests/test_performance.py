@@ -48,6 +48,9 @@ STRONG = condition("23.6lpm-0.22C").egg
 SALTY165 = condition("salty-16.5lpm").egg
 
 QUAD = QuadratureConfig(abs_tol=1e-13, rel_tol=1e-10, max_subdivisions=400)
+# the first round's breaks, in widths from the peak, when the ladder stopped
+# at 128 widths and had no rungs from the ends
+LADDER_TO_128_WIDTHS = [-(2.0 ** (k / 2.0)) for k in range(14, -1, -1)] + [0.0] + [2.0 ** (k / 2.0) for k in range(15)]
 
 
 def db(x):
@@ -620,12 +623,13 @@ class TestOneFirstRound:
            rungs_hi=st.floats(-3.0, 10.0))
     def test_breaks_as_floats_match_the_array_build(self, t_star, log_curvature, rungs_lo, rungs_hi):
         # ends rungs_lo and rungs_hi ladder steps of 2^(1/2) out from the peak
-        root = math.sqrt(math.exp(log_curvature))
+        curvature = math.exp(log_curvature)
+        root = math.sqrt(max(curvature, 1e-12))
         t_lo, t_hi = t_star - 2.0 ** (rungs_lo / 2.0) / root, t_star + 2.0 ** (rungs_hi / 2.0) / root
         assume(t_lo < t_star < t_hi)
         inner = t_star + np.array(performance._BREAK_LADDER) / root
         want = np.concatenate(([t_lo], inner[(inner > t_lo) & (inner < t_hi)], [t_hi]))
-        got = performance._panel_breaks(t_star, root, t_lo, t_hi)
+        got = performance._panel_breaks(t_star, t_lo, t_hi, curvature, curvature, curvature)
         assert all(type(t) is float for t in got)
         assert [t.hex() for t in got] == [t.hex() for t in want.tolist()]
 
@@ -644,9 +648,77 @@ class TestOneFirstRound:
         link = LinkBudget(condition("salty-2.4lpm").egg, mode, db(snr_db))
         assert self._panel_rounds(monkeypatch, link, modulation) == 1
 
-    def test_second_rounds_in_one_snr_column(self, monkeypatch):
-        # the lobe integrals of the 18 rows at 0 dB that go on past the shared
-        # first round: 89 on the 2^k ladder; outage has none
+    @pytest.mark.parametrize("label, modulation", [
+        pytest.param("23.6lpm-0.22C", Modulation.mpsk(8), id="23.6lpm-0.22C-8psk"),
+        pytest.param("23.6lpm-0.22C", Modulation.mqam(16), id="23.6lpm-0.22C-16qam"),
+        pytest.param("fresh-16.5lpm", Modulation.mpsk(8), id="fresh-16.5lpm-8psk"),
+        pytest.param("fresh-16.5lpm", Modulation.mqam(16), id="fresh-16.5lpm-16qam"),
+    ])
+    def test_steep_ends_certify_in_the_first_round(self, monkeypatch, label, modulation):
+        # heterodyne at 0 dB: the GG lobe's e^t cliff sat inside one panel of
+        # the peak's ladder, and bisection walked down to it one round at a
+        # time, 9 or 10 rounds of panels a point
+        link = LinkBudget(condition(label).egg, HETERODYNE, db(0.0))
+        assert self._panel_rounds(monkeypatch, link, modulation) == 1
+
+    @settings(max_examples=500, deadline=None, derandomize=True)
+    @given(t_star=st.floats(-60.0, 60.0),
+           log_curvature=st.floats(math.log(1e-12), math.log(1e12)),
+           rungs=st.tuples(*[st.one_of(st.floats(-3.0, 14.0), st.integers(0, 14).map(float))] * 2),
+           nudges=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+           log_bends=st.tuples(st.floats(-60.0, 60.0), st.floats(-60.0, 60.0)))
+    def test_ends_within_reach_keep_the_peak_ladder(self, t_star, log_curvature, rungs, nudges, log_bends):
+        # ends up to 128 widths out (at a rung, or a few ulps either side of
+        # one) and at most _STEEP times as curved as the peak: the breaks of
+        # the sqrt(2) ladder that stopped at 128 widths, bit for bit
+        curvature = max(math.exp(log_curvature), 1e-12)
+        root = math.sqrt(curvature)
+        ends = []
+        for rung, nudge, sign in zip(rungs, nudges, (-1.0, 1.0)):
+            end = t_star + sign * 2.0 ** (rung / 2.0) / root
+            for _ in range(abs(nudge)):
+                end = math.nextafter(end, math.copysign(math.inf, nudge))
+            ends.append(end)
+        t_lo, t_hi = ends
+        assume(t_lo < t_star < t_hi)
+        bends = (min(curvature * math.exp(x), performance._STEEP * curvature) for x in log_bends)
+        want = [t_lo, *[t for x in LADDER_TO_128_WIDTHS if t_lo < (t := t_star + x / root) < t_hi], t_hi]
+        got = performance._panel_breaks(t_star, t_lo, t_hi, curvature, *bends)
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(t_star=st.floats(-60.0, 60.0),
+           log_curvature=st.floats(math.log(1e-12), math.log(1e12)),
+           rungs=st.tuples(st.floats(-3.0, 40.0), st.floats(-3.0, 40.0)),
+           log_steepness=st.tuples(st.floats(-20.0, 40.0), st.floats(-20.0, 40.0)))
+    def test_each_end_is_resolved(self, t_star, log_curvature, rungs, log_steepness):
+        # a side's breaks are the peak's ladder out to its end or, for an end
+        # over _STEEP times as curved as the peak, out to the midpoint and the
+        # end's own ladder t_end -+ 2^(k/2) / sqrt(-L''(t_end)) from there on
+        curvature = max(math.exp(log_curvature), 1e-12)
+        root = math.sqrt(curvature)
+        t_lo, t_hi = (t_star + sign * 2.0 ** (rung / 2.0) / root for rung, sign in zip(rungs, (-1.0, 1.0)))
+        assume(t_lo < t_star < t_hi)
+        bends = [curvature * math.exp(x) for x in log_steepness]
+        ladder = np.array([2.0 ** (k / 2.0) for k in range(80)])
+        want = [t_star]
+        for end, bend, sign in zip((t_lo, t_hi), bends, (-1.0, 1.0)):
+            mid = 0.5 * (t_star + end) if bend > performance._STEEP * curvature else end
+            peak = t_star + sign * ladder / root
+            side = list(peak[(mid - peak) * sign > 0.0])
+            if mid != end:
+                own = end - sign * ladder / math.sqrt(bend)
+                side += list(own[(own - mid) * sign > 0.0])[::-1]
+            want = sorted(want + side + [end])
+        got = performance._panel_breaks(t_star, t_lo, t_hi, curvature, *bends)
+        assert all(type(t) is float for t in got)
+        assert [t.hex() for t in got] == [t.hex() for t in want]
+        assert all(a < b for a, b in zip(got, got[1:]))
+
+    @staticmethod
+    def _second_rounds(monkeypatch):
+        """Whether each lobe integral from now on goes on past the shared
+        first round, one bool an integral."""
         refined, integrate = [], performance._gauss_kronrod
 
         def counted(f, breaks, cfg, first):
@@ -662,6 +734,13 @@ class TestOneFirstRound:
                 refined.append(bool(calls))
 
         monkeypatch.setattr(performance, "_gauss_kronrod", counted)
+        return refined
+
+    def test_second_rounds_in_one_snr_column(self, monkeypatch):
+        # the lobe integrals of the 18 rows at 0 dB that go on past the shared
+        # first round: 89 on the 2^k ladder, 33 on the sqrt(2) ladder out to
+        # 128 widths; outage has none
+        refined = self._second_rounds(monkeypatch)
         for cond in ALL_CONDITIONS:
             imdd, het = (LinkBudget(cond.egg, mode, db(0.0)) for mode in (IMDD, HETERODYNE))
             avg_ber(imdd, Modulation.ook())
@@ -672,7 +751,29 @@ class TestOneFirstRound:
         # eight kernel terms a row, each over its GG lobe: the exponential
         # lobe has a closed form, and the two *-0lpm rows have no other
         assert len(refined) == 18 * 8
-        assert sum(refined) <= 33
+        assert sum(refined) <= 2
+
+    def test_second_rounds_over_the_curves_grid(self, monkeypatch):
+        # BER and capacity of the 18 rows at -10..80 dB in steps of 10: 158
+        # of the 1440 lobe integrals went on past the shared first round on
+        # the sqrt(2) ladder out to 128 widths.  Laying the breaks makes no
+        # scalar kernel call.
+        refined, kernel_calls = self._second_rounds(monkeypatch), []
+        for name in ("_BER_KERNEL", "_CAPACITY_KERNEL"):
+            scalar, array = getattr(performance, name)
+            counted = (lambda s, scalar=scalar: kernel_calls.append(s) or scalar(s))
+            monkeypatch.setattr(performance, name, (counted, array))
+        for cond in ALL_CONDITIONS:
+            for snr_db in range(-10, 81, 10):
+                imdd, het = (LinkBudget(cond.egg, mode, db(snr_db)) for mode in (IMDD, HETERODYNE))
+                avg_ber(imdd, Modulation.ook())
+                ergodic_capacity(imdd)
+                for modulation in (Modulation.bpsk(), Modulation.mqam(16), Modulation.mpsk(8)):
+                    avg_ber(het, modulation)
+                ergodic_capacity(het)
+        assert len(refined) == 1440
+        assert sum(refined) <= 20
+        assert len(kernel_calls) == 14022
 
 
 def _counted_lobe(params, mode, snr_db, metric, lobe):
@@ -717,11 +818,11 @@ class TestLobeSearches:
         spent = []
         for direction in (-1.0, 1.0):
             del calls[:]
-            t, f, slope = performance._level_point(ell, t_star, target, step, direction)
+            t, f, slope, d2 = performance._level_point(ell, t_star, target, step, direction)
             spent.append(len(calls))
             assert target - 1.0 <= f <= target, direction
             assert (t - t_star) * direction > 0.0 and slope * direction < 0.0
-            assert (f, slope) == ell(t)[:2]
+            assert (f, slope, d2) == ell(t)
         return spent
 
     def test_converged_step_on_the_bracket_end(self):

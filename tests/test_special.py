@@ -7,6 +7,7 @@ import sys
 import textwrap
 import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy import special as sp
@@ -210,6 +211,21 @@ class TestFoxHValues:
         est = fox_h_ln(spec, log_z)
         assert est == pytest.approx(want, rel=1e-9)
         assert abs(est - want) <= est.error_bound
+
+    def test_bound_holds_where_h_nears_the_double_range_floor(self):
+        # z e^-z at ln z in [-5, 6.6] in steps of 0.01, against 40 digits:
+        # near ln z = 6 the rounding of exp(top + log_prefactor), about
+        # |ln H| eps relative, was not in the bound (38 values missed it),
+        # and past ln z = 6.58 the result is subnormal, off by a few ulps
+        spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
+        missed = []
+        with mp.workdps(40):
+            for log_z in (i / 100.0 for i in range(-500, 661)):
+                z = mp.exp(mp.mpf(log_z))
+                est = fox_h_ln(spec, log_z)
+                if not abs(est - z * mp.exp(-z)) <= est.error_bound:
+                    missed.append(log_z)
+        assert missed == []
 
     def test_truncation_failure_carries_estimate(self):
         spec = FoxHSpec(m=1, n=0, p=0, q=1, lower_params=((1.0, 1.0),))
